@@ -12,6 +12,16 @@ where the stem does. The "fixed" profile rides a constant angle from a
 small R0 and is the production default; its angle is chosen per s unless
 pinned. All node sets are cached on the evaluator, so a sweep over many
 s values costs one exp and one dot product each.
+
+A fixed-profile ray fills i z W(z) at its ~65k nodes from the evaluator's
+Chebyshev proxy in log r (SmoothedGrowth.kernel_complex_ray): ~450 exact
+kernel sums per ray instead of one per node. The ray at angle theta keeps
+a strip of half-width pi/2 - theta in log r clear of the kernel's poles,
+so the proxy converges geometrically (Trefethen, Approximation Theory and
+Approximation Practice, SIAM 2013, ch. 8) and matches the exact sum to
+~4e-15 relative. The stem, the arcs and the growth-profile ray, whose
+angle varies along r, stay on the exact sum, kernel_complex, which also
+remains the reference the proxy is tested against.
 """
 
 from __future__ import annotations
@@ -238,10 +248,12 @@ def _ray_cache(sg: SmoothedGrowth, path: ContourPath, angle: float) -> _PieceCac
             al = np.arctan(1.0 / np.sqrt(wv))
             dz = np.exp(1j * al) * (1.0 - 0.5j * r * wp / (np.sqrt(wv) * (1.0 + wv)))
             z = r * np.exp(1j * al)
+            wz = sg.kernel_complex(z)
         else:
             dz = np.full(r.shape, complex(math.cos(angle), math.sin(angle)))
             z = r * dz
-        g0 = 1j * z * sg.kernel_complex(z)
+            wz = sg.kernel_complex_ray(r, angle)
+        g0 = 1j * z * wz
         n_dense = int(np.searchsorted(r, dense_top, side="right"))
         return _PieceCache(z, w * dz, g0, r, n_dense)
 

@@ -102,8 +102,9 @@ def sup_envelope(rho: RateFunction) -> Callable:
     """Non-increasing envelope rho_tilde(x) = sup over y >= x of rho(y).
 
     Catalog rates are already non-increasing, so the envelope is the rate
-    itself. Tabulated rates get a backward running maximum over the table,
-    extended by the last value past the final sample.
+    itself. A tabulated rate is linear between samples, so its sup over
+    [x, inf) is the larger of rho(x) and the backward running maximum of
+    the samples at or beyond x (the last value past the final sample).
     """
     if rho.monotone_non_increasing:
         return rho
@@ -114,7 +115,7 @@ def sup_envelope(rho: RateFunction) -> Callable:
     def rho_tilde(x):
         x = np.asarray(x, dtype=float)
         idx = np.searchsorted(xs, x, side="left")
-        out = env[np.minimum(idx, len(env) - 1)]
+        out = np.maximum(rho(x), env[np.minimum(idx, len(env) - 1)])
         return out if out.ndim else float(out)
 
     return rho_tilde

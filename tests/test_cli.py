@@ -193,6 +193,21 @@ class TestContinue:
         assert by_name["pole_residue"]["measured"]["abs_error"] <= 1e-4
 
 
+    def test_default_grid_exits_zero(self, tmp_path):
+        from tauberlab.cli import _DEFAULT_S_GRID
+
+        assert main(["continue", "--out", str(tmp_path)]) == 0
+        _, rows = read_csv(tmp_path / "continuation.csv")
+        assert len(rows) == len(_DEFAULT_S_GRID)
+
+    def test_unreachable_point_exits_one_with_reason(self, tmp_path, capsys):
+        # laplace_dS(1+5j) needs F(5j), whose ray integrand peaks past the hump cap
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"s_grid": [[1, 5]], "out_dir": str(tmp_path)}))
+        assert main(["continue", "--config", str(cfg)]) == 1
+        assert "QuadratureError" in capsys.readouterr().err
+
+
 class TestVerify:
     def test_default_run_passes_every_group(self, tmp_path, capsys):
         rc = main(["verify", "--out", str(tmp_path)])

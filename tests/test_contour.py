@@ -50,6 +50,14 @@ def _direct(sg, s):
     return direct_F(sg, s, 42.0 / s.real)
 
 
+def test_fixed_ray_cache_matches_exact_rebuild(log_sg):
+    ray = contour_mod._ray_cache(log_sg, ContourPath(), math.pi / 3)
+    pick = np.unique(np.r_[np.arange(0, ray.z.size, 37), ray.z.size - 1])
+    z = ray.z[pick]
+    exact = 1j * z * log_sg.kernel_complex(z)
+    assert np.max(np.abs(ray.g0[pick] - exact) / np.abs(exact)) <= 1e-13
+
+
 class TestChooseR0:
     def test_sqrt_oracle_lands_on_next_grid_point(self, sqrt_sg):
         # W = (pi/sqrt 2) sqrt(y) crosses 16 at y ~ 51.9; the quarter-octave

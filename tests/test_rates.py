@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tauberlab import (
     RateFunction,
@@ -44,6 +46,38 @@ def test_table_envelope_backward_running_max():
     assert env(1.5) == pytest.approx(0.8)
     # last-value extension past the table
     assert env(50.0) == pytest.approx(0.3)
+
+
+def test_table_envelope_dominates_rate_between_samples():
+    # linear interpolation rises above the next sample's running max here
+    rho = RateFunction(kind="table", table=((1.0, 1.0), (2.0, 0.5), (3.0, 0.4)))
+    env = sup_envelope(rho)
+    assert rho(1.5) == pytest.approx(0.75)
+    assert env(1.5) == pytest.approx(0.75)
+    assert env(2.5) == pytest.approx(0.45)
+
+
+@st.composite
+def _tables(draw, monotone):
+    n = draw(st.integers(min_value=1, max_value=8))
+    steps = draw(st.lists(st.floats(0.01, 10.0), min_size=n, max_size=n))
+    rs = draw(st.lists(st.floats(0.01, 10.0), min_size=n, max_size=n))
+    xs = np.cumsum(steps)
+    if monotone:
+        rs = sorted(rs, reverse=True)
+    return RateFunction(kind="table", table=tuple(zip(xs.tolist(), rs)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rho=st.one_of(_tables(monotone=True), _tables(monotone=False)),
+       probes=st.lists(st.floats(0.0, 100.0), min_size=1, max_size=20))
+def test_table_envelope_is_non_increasing_majorant(rho, probes):
+    xs = np.array([p[0] for p in rho.table])
+    grid = np.sort(np.concatenate([probes, xs, 0.5 * (xs[1:] + xs[:-1])]))
+    env = np.asarray(sup_envelope(rho)(grid))
+    assert np.all(env >= np.asarray(rho(grid)))
+    # interpolation may overshoot a sample by an ulp, hence the slack
+    assert np.all(np.diff(env) <= 1e-12 * env[:-1])
 
 
 def test_envelope_matches_grid_sup_for_quarter_power():

@@ -1,5 +1,8 @@
 import cmath
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -15,7 +18,9 @@ from tauberlab import (
     smooth_derivative,
     taylor_coeff,
 )
-from tauberlab.quadrature import integrate_complex
+from tauberlab.contour import _ray_edges
+from tauberlab.quadrature import integrate_complex, panel_nodes
+from tauberlab.smoothing import MAX_COMPLEX_ARG
 
 SQRT_W_CONST = math.pi / math.sqrt(2.0)  # W(y) = (pi/sqrt 2) sqrt(y) for omega = sqrt
 
@@ -199,6 +204,77 @@ def test_kernel_complex_wide_angle_vs_adaptive(log_sg, log_target):
 def test_kernel_complex_argument_cap(log_sg):
     with pytest.raises(ValueError):
         log_sg.kernel_complex(cmath.exp(1.4j))
+
+
+# -- ray proxy --------------------------------------------------------------
+
+PROXY_ANGLES = (0.05, 0.1, 0.35, 0.6, math.pi / 3, 1.257, MAX_COMPLEX_ARG)
+
+
+@pytest.mark.parametrize("R0", [1.0, 2.0])
+@pytest.mark.parametrize("sg_name", ["log_sg", "pow_sg"])
+def test_ray_proxy_matches_exact_sum(request, sg_name, R0):
+    sg = request.getfixturevalue(sg_name)
+    r, _ = panel_nodes(_ray_edges(R0, 2000.0)[0], 16)
+    # every 37th node plus both ends: the exact sum on all ~65k is slow
+    pick = np.unique(np.r_[np.arange(0, r.size, 37), r.size - 1])
+    for ang in PROXY_ANGLES:
+        proxy = sg.kernel_complex_ray(r, ang)[pick]
+        exact = sg.kernel_complex(r[pick] * cmath.exp(1j * ang))
+        assert np.max(np.abs(proxy - exact) / np.abs(exact)) <= 1e-13, ang
+
+
+class _ProbeGrowth(SmoothedGrowth):
+    # elementwise stand-in for the kernel sum, so samples are exact
+    def kernel_complex(self, z):
+        return 1.0 / (1.0 + np.asarray(z))
+
+
+def test_ray_proxy_returns_sample_at_node():
+    sg = _ProbeGrowth(GrowthTarget(rho_tilde=None, omega=np.sqrt))
+    ang = 0.6
+    r = np.array([1.0, 1.2, 1.5])  # one panel: both ends are Chebyshev points
+    out = sg.kernel_complex_ray(r, ang)
+    assert np.all(np.isfinite(out))
+    rot = complex(math.cos(ang), math.sin(ang))
+    ends = sg.kernel_complex(np.exp(np.log(r[[0, -1]])) * rot)
+    assert out[0] == ends[0] and out[-1] == ends[1]
+    assert out[1] == pytest.approx(1.0 / (1.0 + 1.2 * rot), rel=1e-14)
+
+
+# -- memo --------------------------------------------------------------------
+
+
+def test_memo_builds_each_key_once_under_race(const_target):
+    sg = SmoothedGrowth(const_target)
+    calls = []
+    n = 8  # more threads than cores
+    start = threading.Barrier(n)
+
+    def build():
+        calls.append(1)
+        time.sleep(0.2)  # hold the build open while the others arrive
+        return object()
+
+    results = []
+
+    def worker():
+        start.wait()
+        results.append(sg.memo(("probe",), build))
+
+    threads = [threading.Thread(target=worker) for _ in range(n)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(calls) == 1
+    assert len(results) == n and all(r is results[0] for r in results)
 
 
 # -- Taylor coefficients ----------------------------------------------------
