@@ -23,9 +23,7 @@ from .smoothing import (
     eval_V,
     kernel_derivative,
     poisson_kernel,
-    smooth,
     smooth_complex,
-    smooth_derivative,
     taylor_coeff,
 )
 from .contour import (
@@ -40,7 +38,6 @@ from .contour import (
 )
 from .oscillatory import (
     PhasePartition,
-    ScaledValue,
     direct_F,
     eval_T_main,
     eval_T_scaled,
@@ -79,12 +76,9 @@ __all__ = [
     "SmoothedGrowth",
     "poisson_kernel",
     "kernel_derivative",
-    "smooth",
-    "smooth_derivative",
     "smooth_complex",
     "eval_V",
     "taylor_coeff",
-    "ScaledValue",
     "PhasePartition",
     "phase_panels",
     "panel_contributions",

@@ -29,7 +29,8 @@ from .oscillatory import eval_T_main, eval_T_scaled, eval_tau
 from .quadrature import QuadratureConfig
 from .rates import RateFunction, catalog, growth_target, load_table, validate_rate
 from .smoothing import SmoothedGrowth
-from .suite import DEFAULT_CHECKS, SuiteConfig, omega_pm_witnesses, run_suite
+from .suite import (DEFAULT_CHECKS, SuiteConfig, omega_pm_witnesses, run_suite,
+                    validate_checks)
 
 W_PROFILE_HEADER = ("x", "omega", "W", "Wp", "V", "phase")
 OSCILLATION_HEADER = ("x", "T_scaled", "T_main", "S_scaled", "tau", "D")
@@ -79,7 +80,6 @@ class RunConfig:
     checks: Tuple[str, ...]
     out_dir: Path
     threads: int = 1
-    deterministic: bool = True
     verbose: bool = False
 
 
@@ -222,14 +222,12 @@ def _build_checks(doc: dict, args) -> Tuple[str, ...]:
     checks: Sequence[str] = doc.get("checks", DEFAULT_CHECKS)
     if getattr(args, "only", None):
         checks = [tok.strip() for tok in args.only.split(",") if tok.strip()]
-    if not isinstance(checks, (list, tuple)) or not checks:
-        raise ConfigError("checks: expected a non-empty list of names")
-    for name in checks:
-        if name not in DEFAULT_CHECKS:
-            known = ", ".join(DEFAULT_CHECKS)
-            raise ConfigError(f"checks: unknown check {name!r} (known: {known})")
-    if len(set(checks)) != len(checks):
-        raise ConfigError("checks: duplicate names")
+    if not isinstance(checks, (list, tuple)):
+        raise ConfigError("checks: expected a list of names")
+    try:
+        validate_checks(checks)
+    except ValueError as exc:
+        raise ConfigError(f"checks: {exc}") from exc
     return tuple(checks)
 
 
@@ -399,7 +397,7 @@ def cmd_continue(cfg: RunConfig) -> int:
     _write_csv(csv_path, CONTINUATION_HEADER, rows)
     print(f"wrote {csv_path}")
     json_path = cfg.out_dir / "checks.json"
-    _write_atomic(json_path, report.to_json(include_timings=not cfg.deterministic))
+    _write_atomic(json_path, report.to_json())
     print(f"wrote {json_path}")
     _note(cfg, "continue", t0)
     if report.status == "pass":
@@ -424,7 +422,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     print(f"status: {report.status} ({len(report.records)} checks)")
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     path = cfg.out_dir / "report.json"
-    _write_atomic(path, report.to_json(include_timings=not cfg.deterministic))
+    _write_atomic(path, report.to_json())
     print(f"wrote {path}")
     _note(cfg, "verify", t0)
     return 0 if report.status == "pass" else 1

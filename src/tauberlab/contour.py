@@ -50,7 +50,6 @@ _TRUNC_LOG = math.log(1e-19)
 _HUMP_LIMIT = 15.0
 _HUMP_BASE_TOL = 1e-9
 _R0_SEARCH_CAP = 1e10
-_DECAY_MARCH_CAP = 1e4
 
 
 @dataclass(frozen=True)
@@ -82,12 +81,6 @@ class ContourPath:
         """Opening angle of the arc piece at radius R0."""
         if self.profile == "growth":
             return math.atan(1.0 / math.sqrt(float(sg.W(self.R0))))
-        return self.angle if self.angle is not None else math.pi / 3
-
-    def ray_angle(self, sg: SmoothedGrowth, r: float) -> float:
-        """Tilt of the ray point at radius r."""
-        if self.profile == "growth":
-            return math.atan(1.0 / math.sqrt(float(sg.W(r))))
         return self.angle if self.angle is not None else math.pi / 3
 
 
@@ -140,16 +133,6 @@ def decay_bound(sg: SmoothedGrowth, r: float, s: complex,
     c = _c_emp(sg) if c_emp is None else c_emp
     w = float(sg.W(r))
     return -r * w / (2.0 * math.sqrt(1.0 + w)) + (c + abs(complex(s))) * r
-
-
-def _decay_radius(sg: SmoothedGrowth, s: complex, r_lo: float) -> Optional[float]:
-    # first quarter-octave radius where the bound clears the truncation floor
-    n = max(1, int(4 * math.log2(_DECAY_MARCH_CAP / r_lo)) + 1)
-    rs = r_lo * 2.0 ** (np.arange(n) / 4.0)
-    w = sg.W(rs)
-    b = -rs * w / (2.0 * np.sqrt(1.0 + w)) + (_c_emp(sg) + abs(complex(s))) * rs
-    idx = np.nonzero(b < math.log(1e-16))[0]
-    return float(rs[idx[0]]) if idx.size else None
 
 
 def _pick_angle(s: complex) -> float:
@@ -243,11 +226,8 @@ def _ray_cache(sg: SmoothedGrowth, path: ContourPath, angle: float) -> _PieceCac
         edges, dense_top = _ray_edges(path.R0, path.R_max)
         r, w = panel_nodes(edges, 16)
         if path.profile == "growth":
-            wv = sg.W(r)
-            wp = sg.derivative(r, 1)
-            al = np.arctan(1.0 / np.sqrt(wv))
-            dz = np.exp(1j * al) * (1.0 - 0.5j * r * wp / (np.sqrt(wv) * (1.0 + wv)))
-            z = r * np.exp(1j * al)
+            dz = _growth_dz(sg, r)
+            z = r * np.exp(1j * np.arctan(1.0 / np.sqrt(sg.W(r))))
             wz = sg.kernel_complex(z)
         else:
             dz = np.full(r.shape, complex(math.cos(angle), math.sin(angle)))
@@ -260,12 +240,12 @@ def _ray_cache(sg: SmoothedGrowth, path: ContourPath, angle: float) -> _PieceCac
     return sg.memo(key, build)
 
 
-def _growth_dz(sg: SmoothedGrowth, r: float) -> complex:
-    """dz/dr on the growth ray, by the chain rule through the tilt."""
-    w = float(sg.W(r))
-    wp = float(sg.derivative(r, 1))
-    al = math.atan(1.0 / math.sqrt(w))
-    return np.exp(1j * al) * (1.0 - 0.5j * r * wp / (math.sqrt(w) * (1.0 + w)))
+def _growth_dz(sg: SmoothedGrowth, r):
+    """dz/dr on the growth ray at radii r, by the chain rule through the tilt."""
+    w = sg.W(r)
+    wp = sg.derivative(r, 1)
+    al = np.arctan(1.0 / np.sqrt(w))
+    return np.exp(1j * al) * (1.0 - 0.5j * r * wp / (np.sqrt(w) * (1.0 + w)))
 
 
 def _hump_limit(config: QuadratureConfig) -> float:
@@ -300,17 +280,9 @@ def validate_path(sg: SmoothedGrowth, path: ContourPath) -> None:
             )
 
 
-def _ray_stop(sg: SmoothedGrowth, ray: _PieceCache, path: ContourPath,
-              s: complex, angle: float) -> int:
-    # the decay bound describes the growth-profile tilt; it transfers
-    # only to rays at least that steep, where the phase decays faster
-    bound_valid = angle >= math.atan(1.0 / math.sqrt(float(sg.W(path.R0))))
-    if bound_valid:
-        r_db = _decay_radius(sg, s, path.R0)
-        if r_db is not None and r_db <= path.R_max:
-            stop = int(np.searchsorted(ray.r, r_db))
-            if stop <= ray.n_dense:
-                return stop
+def _ray_stop(ray: _PieceCache, path: ContourPath, s: complex) -> int:
+    # measured node envelope: the running max of log|integrand| from the
+    # far end; cut after the first node beyond which it stays under the floor
     env = np.maximum.accumulate((ray.g0.real - (s * ray.z).real)[::-1])[::-1]
     ok = np.nonzero(env < _TRUNC_LOG)[0]
     if ok.size == 0:
@@ -336,7 +308,7 @@ def _bent_eval(sg: SmoothedGrowth, path: ContourPath, s: complex,
             "use the fixed profile with a small R0 instead"
         )
     ray = _ray_cache(sg, path, angle)
-    stop = _ray_stop(sg, ray, path, s, angle)
+    stop = _ray_stop(ray, path, s)
     limit = _hump_limit(path.quad_config)
     return (
         _sum_piece(stem, s, limit)
@@ -348,9 +320,9 @@ def _bent_eval(sg: SmoothedGrowth, path: ContourPath, s: complex,
 def contour_F(sg: SmoothedGrowth, path: ContourPath, s: complex) -> complex:
     """Continue F(s) = int_0^inf e^{iuW(u)}e^{-su} du to arbitrary s.
 
-    Sum of stem, arc, and ray integrals. The ray is truncated where the
-    conservative decay bound clears 1e-16, falling back to the measured
-    node envelope when the bound never turns negative in range. Points
+    Sum of stem, arc, and ray integrals. The ray is truncated by the
+    measured node envelope: after the first node beyond which
+    log|integrand| stays below log(1e-19) out to R_max. Points
     whose integrand hump exceeds double precision on the steep ray are
     retried on a shallow ray when Re s > 0 makes that convergent;
     otherwise the QuadratureError names the unreachable s.

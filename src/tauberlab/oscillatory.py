@@ -6,8 +6,8 @@ its cosine factor, so plain Gauss-Legendre per panel converges fast and
 the panel sums are compensated exactly (math.fsum).
 
 Exponentially weighted quantities never materialize e^x: integrands are
-written against e^(u - x) <= 1, and anything that must leave this module
-unscaled travels as a ScaledValue.
+written against e^(u - x) <= 1, and the cumulative integral leaves this
+module already scaled (T_scaled = e^(-x) T).
 """
 
 from __future__ import annotations
@@ -27,53 +27,6 @@ from .quadrature import (
     refine_edges,
 )
 from .smoothing import SmoothedGrowth
-
-_LN10 = math.log(10.0)
-
-
-@dataclass(frozen=True)
-class ScaledValue:
-    """value = mantissa * exp(log_scale), mantissa decimal-normalized.
-
-    Keeps e^x-sized quantities representable: the mantissa stays in
-    [1, 10) (or 0) and the exponent lives separately in log space.
-    """
-
-    mantissa: float
-    log_scale: float
-
-    @staticmethod
-    def normalized(mantissa: float, log_scale: float) -> "ScaledValue":
-        if mantissa == 0.0 or not math.isfinite(mantissa):
-            return ScaledValue(0.0 if mantissa == 0.0 else mantissa, 0.0)
-        shift = math.floor(math.log10(abs(mantissa)))
-        return ScaledValue(mantissa / 10.0**shift, log_scale + shift * _LN10)
-
-    @staticmethod
-    def from_value(value: float) -> "ScaledValue":
-        return ScaledValue.normalized(value, 0.0)
-
-    def value(self) -> float:
-        return self.mantissa * math.exp(self.log_scale)
-
-    def log_abs(self) -> float:
-        if self.mantissa == 0.0:
-            return -math.inf
-        return math.log(abs(self.mantissa)) + self.log_scale
-
-    def sign(self) -> int:
-        return 0 if self.mantissa == 0.0 else int(math.copysign(1.0, self.mantissa))
-
-    def __le__(self, other: "ScaledValue") -> bool:
-        # sign-aware comparison in log space; never materializes the values
-        sa, sb = self.sign(), other.sign()
-        if sa != sb:
-            return sa < sb
-        if sa == 0:
-            return True
-        if sa > 0:
-            return self.log_abs() <= other.log_abs()
-        return self.log_abs() >= other.log_abs()
 
 
 @dataclass(frozen=True)

@@ -1,20 +1,18 @@
 """Quadrature backends shared by the whole package.
 
-Two tiers live here. One-off integrals go through an adaptive QUADPACK
-wrapper with explicit error policy; batch evaluation (contour sweeps,
-phase partitions) uses fixed composite Gauss-Legendre panels whose nodes
+Every integral runs on fixed composite Gauss-Legendre panels whose nodes
 are built once and reused, so repeated calls are cheap and bit-stable.
+The error budget travels as a QuadratureConfig; QuadratureError names an
+integral that cannot meet it.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 
 class QuadratureError(RuntimeError):
@@ -23,72 +21,28 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Error budget and limits for adaptive integration.
+    """Error budget and limits for the panel quadratures.
 
     Parameters
     ----------
     abs_tol, rel_tol : float
         Requested absolute / relative tolerances. Must be positive.
-    max_subdivisions : int
-        Subinterval limit handed to the adaptive integrator.
     tail_cutoff : float
         Hard cap on marched truncation radii (improper-integral tails).
     """
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
-    max_subdivisions: int = 2000
     tail_cutoff: float = 1e5
 
     def __post_init__(self):
         if not (self.abs_tol > 0 and self.rel_tol > 0):
             raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
         if not self.tail_cutoff > 0:
             raise ValueError("tail_cutoff must be positive")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
-
-
-def integrate(f, a, b, config=None, points=None):
-    """Adaptive integral of a real integrand on [a, b].
-
-    Returns (value, abserr). Breakpoints in `points` (e.g. a kink of the
-    integrand) are forwarded to the subdivision. A result whose reported
-    error exceeds ten times the configured budget raises QuadratureError;
-    mild roundoff complaints on otherwise-converged results are accepted.
-    """
-    cfg = config or DEFAULT_CONFIG
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        out = quad(
-            f,
-            a,
-            b,
-            epsabs=cfg.abs_tol,
-            epsrel=cfg.rel_tol,
-            limit=cfg.max_subdivisions,
-            points=points,
-            full_output=1,
-        )
-    value, abserr = out[0], out[1]
-    if len(out) > 3:  # QUADPACK flagged trouble; accept only if error is in budget
-        budget = 10.0 * max(cfg.abs_tol, cfg.rel_tol * abs(value))
-        if not abserr <= budget:
-            raise QuadratureError(
-                f"integral on [{a}, {b}] did not converge: {out[3].strip()} "
-                f"(abserr={abserr:.3e})"
-            )
-    return value, abserr
-
-
-def integrate_complex(f, a, b, config=None, points=None):
-    """Adaptive integral of a complex integrand, by parts."""
-    re, re_err = integrate(lambda t: f(t).real, a, b, config, points)
-    im, im_err = integrate(lambda t: f(t).imag, a, b, config, points)
-    return complex(re, im), math.hypot(re_err, im_err)
 
 
 @lru_cache(maxsize=64)

@@ -47,6 +47,11 @@ class RateFunction:
                 raise ValueError("empty table")
             xs = np.array([p[0] for p in self.table], dtype=float)
             rs = np.array([p[1] for p in self.table], dtype=float)
+            bad = np.nonzero(~(np.isfinite(xs) & np.isfinite(rs)))[0]
+            if bad.size:  # NaN would slip through every comparison below
+                i = int(bad[0])
+                raise ValueError(f"non-finite table row {i}: "
+                                 f"x = {float(xs[i])!r}, rate = {float(rs[i])!r}")
             if np.any(np.diff(xs) <= 0):
                 raise ValueError("table x values must be strictly increasing")
             if np.any(rs <= 0):

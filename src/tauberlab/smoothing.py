@@ -5,16 +5,16 @@ on (0, inf). The rescaled substitution x = y * tan(theta) turns that into
 
     W(y) = integral over (0, pi/2) of omega(y * tan(theta)) d(theta)
 
-which is the form all one-off evaluations use. Derivatives in y never
-touch omega' (omega has a kink at the min-branch crossover): they use the
-closed complex-pair form of the kernel derivative instead.
+Derivatives in y never touch omega' (omega has a kink at the min-branch
+crossover): they use the closed complex-pair form of the kernel
+derivative instead.
 
-Evaluation comes in two tiers. `smooth` and friends run adaptive
-quadrature per call; the SmoothedGrowth handle additionally carries a
-fixed composite Gauss-Legendre grid in x on which omega is sampled once,
-so that batch consumers (contour rays, phase sweeps, witness scans) get
-W, its derivatives, and the half-plane extension W(z) as cheap
-matrix-vector products over shared nodes.
+The SmoothedGrowth handle carries a fixed composite Gauss-Legendre grid
+in x on which omega is sampled once, so every consumer (contour rays,
+phase sweeps, witness scans) gets W, its derivatives, and the half-plane
+extension W(z) as matrix-vector products over shared nodes. An adaptive
+quadrature of the rescaled form above stays in the test suite as the
+independent oracle this grid is checked against.
 
 `kernel_complex` is the exact reference for W(z): the full node sum per
 point. Contour rays need W at ~65k radii per angle, so `kernel_complex_ray`
@@ -37,16 +37,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .quadrature import (
-    DEFAULT_CONFIG,
-    QuadratureConfig,
-    geometric_edges,
-    integrate,
-    panel_nodes,
-)
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, geometric_edges, panel_nodes
 from .rates import GrowthTarget
-
-_HALF_PI = 0.5 * math.pi
 
 # Largest |arg z| the fixed grid resolves to ~1e-8 or better; beyond this the
 # node spacing stops resolving the kernel's complex ridge.
@@ -98,56 +90,6 @@ def kernel_derivative(n: int, x, y):
     return out if out.ndim else float(out)
 
 
-def _theta_breakpoints(target: GrowthTarget, y: float):
-    bp = target.branch_point
-    if bp is None:
-        return None
-    t = math.atan2(bp, y)
-    return [t] if 0.0 < t < _HALF_PI else None
-
-
-def smooth(omega: GrowthTarget, y: float, config: Optional[QuadratureConfig] = None) -> float:
-    """W(y) by adaptive quadrature on the rescaled kernel form."""
-    if y <= 0:
-        raise ValueError("smooth needs y > 0")
-    om = omega.omega
-    val, _ = integrate(
-        lambda t: float(om(y * math.tan(t))),
-        0.0,
-        _HALF_PI,
-        config or DEFAULT_CONFIG,
-        points=_theta_breakpoints(omega, y),
-    )
-    return val
-
-
-def smooth_derivative(
-    omega: GrowthTarget, n: int, y: float, config: Optional[QuadratureConfig] = None
-) -> float:
-    """n-th derivative of W at y > 0, integrating omega against the kernel derivative.
-
-    The x-integral is mapped through x = y tan(theta) onto a finite
-    interval; the kernel derivative itself comes from the closed form, so
-    omega is only ever sampled, never differentiated.
-    """
-    if n < 1:
-        raise ValueError("smooth_derivative needs n >= 1")
-    if y <= 0:
-        raise ValueError("smooth_derivative needs y > 0")
-    om = omega.omega
-
-    def integrand(t):
-        x = y * math.tan(t)
-        sec2 = 1.0 + (x / y) ** 2
-        return float(om(x)) * kernel_derivative(n, x, y) * y * sec2
-
-    val, _ = integrate(
-        integrand, 0.0, _HALF_PI, config or DEFAULT_CONFIG,
-        points=_theta_breakpoints(omega, y),
-    )
-    return val
-
-
 class SmoothedGrowth:
     """Evaluator handle for W, its derivatives, V, the phase, and W(z).
 
@@ -156,14 +98,15 @@ class SmoothedGrowth:
     target : GrowthTarget
         omega with its envelope and min-branch crossover.
     quad_config : QuadratureConfig, optional
-        Budget for the adaptive tier and for downstream consumers.
+        Budget that downstream consumers (phase quadrature, tau table,
+        contour paths) read off the handle; W itself runs on the grid.
     n_max : int
         Largest derivative order served (default 6).
     grid_order, panels_per_octave : int
         Resolution of the fixed composite grid: Gauss-Legendre order per
         panel and panels per octave. The defaults resolve real arguments
         to ~1e-14 relative and complex arguments within |arg z| <= 1.26
-        to better than 1e-10 (checked against the adaptive tier in tests).
+        to better than 1e-10 (checked against adaptive quadrature in tests).
 
     All evaluators are pure; caches only memoize exact re-evaluations and
     are lock-protected, so handles may be shared across worker threads.
@@ -185,7 +128,6 @@ class SmoothedGrowth:
         self._lock = threading.Lock()
         self._nodes = None
         self._omega_weights = None
-        self._scalar_memo = {}
         self._built = {}
         self._gates = {}
 
@@ -233,17 +175,8 @@ class SmoothedGrowth:
         arr = np.atleast_1d(np.asarray(y, dtype=float))
         if np.any(arr <= 0):
             raise ValueError("W derivatives need y > 0")
-        if arr.size == 1:
-            key = (n, float(arr[0]))
-            with self._lock:
-                hit = self._scalar_memo.get(key)
-            if hit is not None:
-                return hit if np.ndim(y) else float(hit)
-            val = float(self._kernel_sum(arr, n)[0])
-            with self._lock:
-                self._scalar_memo[key] = val
-            return np.array([val]) if np.ndim(y) else val
-        return self._kernel_sum(arr, n)
+        out = self._kernel_sum(arr, n)
+        return out if np.ndim(y) else float(out[0])
 
     def V(self, y) -> Union[float, np.ndarray]:
         """V(y) = W(y) + y W'(y), the phase velocity."""
@@ -338,7 +271,7 @@ def eval_V(sg: SmoothedGrowth, y) -> Union[float, np.ndarray]:
 def smooth_complex(sg: SmoothedGrowth, z: complex) -> complex:
     """Analytic extension W(z) in the sector |arg z| < pi/6.
 
-    Agrees with smooth() on the positive axis and is conjugate-symmetric.
+    Agrees with W on the positive axis and is conjugate-symmetric.
     Arguments outside the sector are rejected; the contour machinery uses
     the evaluator's wider half-plane method directly.
     """

@@ -102,10 +102,10 @@ class CheckRecord:
     grids: Dict[str, object] = field(default_factory=dict)
     witnesses: List[OscillationWitness] = field(default_factory=list)
     error: Optional[str] = None
-    seconds: float = 0.0
+    seconds: float = 0.0  # wall time, for --verbose; never serialized
 
-    def as_dict(self, include_timings: bool = True) -> dict:
-        out = {
+    def as_dict(self) -> dict:
+        return {
             "name": self.name,
             "group": self.group,
             "anchor": self.anchor,
@@ -115,9 +115,6 @@ class CheckRecord:
             "witnesses": [w.as_dict() for w in self.witnesses],
             "error": self.error,
         }
-        if include_timings:
-            out["seconds"] = self.seconds
-        return out
 
 
 @dataclass
@@ -126,7 +123,6 @@ class VerificationReport:
 
     records: List[CheckRecord]
     config: Dict[str, object]
-    total_seconds: float = 0.0
 
     @property
     def status(self) -> str:
@@ -143,19 +139,17 @@ class VerificationReport:
                 return r
         raise KeyError(f"no record named {name!r}")
 
-    def as_dict(self, include_timings: bool = True) -> dict:
-        out = {
+    def as_dict(self) -> dict:
+        return {
             "config": self.config,
             "status": self.status,
-            "records": [r.as_dict(include_timings) for r in self.records],
+            "records": [r.as_dict() for r in self.records],
         }
-        if include_timings:
-            out["total_seconds"] = self.total_seconds
-        return out
 
-    def to_json(self, include_timings: bool = True) -> str:
-        # fixed key order and repr floats keep equal configs byte-identical
-        return json.dumps(self.as_dict(include_timings), indent=2) + "\n"
+    def to_json(self) -> str:
+        # fixed key order and repr floats keep equal configs byte-identical;
+        # strict JSON: run_suite already nulls non-finite measurements
+        return json.dumps(self.as_dict(), indent=2, allow_nan=False) + "\n"
 
 
 # -- counterexample evaluation ------------------------------------------------
@@ -316,6 +310,17 @@ _ORACLE_XS = (10.0, 20.0, 30.0)
 _SCALE_FACTORS = (0.1, 0.25, 0.5, 0.75, 1.0)
 
 
+def validate_checks(checks: Sequence[str]) -> None:
+    """Raise ValueError unless `checks` is a non-empty list of distinct known ids."""
+    if not checks:
+        raise ValueError("need at least one check id")
+    unknown = [c for c in checks if c not in DEFAULT_CHECKS]
+    if unknown:
+        raise ValueError(f"unknown checks {unknown}; known ids are {list(DEFAULT_CHECKS)}")
+    if len(set(checks)) != len(checks):
+        raise ValueError("duplicate check ids")
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
     """What to build and which checks to run.
@@ -342,13 +347,7 @@ class SuiteConfig:
             raise ValueError("x_range must satisfy 0 < lo < hi")
         if self.n_witnesses < 5:
             raise ValueError("n_witnesses must be at least 5")
-        unknown = [c for c in self.checks if c not in DEFAULT_CHECKS]
-        if unknown:
-            raise ValueError(
-                f"unknown checks {unknown}; known ids are {list(DEFAULT_CHECKS)}"
-            )
-        if len(set(self.checks)) != len(self.checks):
-            raise ValueError("duplicate check ids")
+        validate_checks(self.checks)
         if not (0.0 < self.grid_lo < self.grid_hi):
             raise ValueError("grid bounds must satisfy 0 < lo < hi")
         if self.grid_points < 2:
@@ -368,7 +367,6 @@ class SuiteConfig:
             "quadrature": {
                 "abs_tol": self.quad_config.abs_tol,
                 "rel_tol": self.quad_config.rel_tol,
-                "max_subdivisions": self.quad_config.max_subdivisions,
                 "tail_cutoff": self.quad_config.tail_cutoff,
             },
             "grid": {
@@ -664,18 +662,33 @@ _REGISTRY: Tuple[Tuple[str, Tuple], ...] = (
 )
 
 
+def _null_non_finite(measured: Dict[str, object]) -> List[str]:
+    # JSON has no NaN or Infinity: null them, one list level deep, and
+    # return the keys that held one
+    def bad(v):
+        return isinstance(v, float) and not math.isfinite(v)
+
+    keys = [k for k, v in measured.items()
+            if bad(v) or (isinstance(v, list) and any(map(bad, v)))]
+    for k in keys:
+        v = measured[k]
+        measured[k] = [None if bad(x) else x for x in v] if isinstance(v, list) else None
+    return keys
+
+
 def run_suite(config: Optional[SuiteConfig] = None) -> VerificationReport:
     """Run the enabled check groups in registry order and report.
 
     Each record is timed individually; a check that raises is recorded
-    as fail with the error message and the run continues. Configuration
-    problems (bad rate, unknown check ids) raise before any check runs.
+    as fail with the error message and the run continues, and so is a
+    check whose measurements include a NaN or an infinity (written as
+    null). Configuration problems (bad rate, unknown check ids) raise
+    before any check runs.
     """
     cfg = config or SuiteConfig()
     validate_rate(cfg.rate)
     ctx = _SuiteContext(cfg)
     records: List[CheckRecord] = []
-    t_start = time.perf_counter()
     for group, checks in _REGISTRY:
         if group not in cfg.checks:
             continue
@@ -690,7 +703,10 @@ def run_suite(config: Optional[SuiteConfig] = None) -> VerificationReport:
                 rec = CheckRecord(name=name, group=group, anchor=anchor,
                                   status="fail",
                                   error=f"{type(exc).__name__}: {exc}")
+            non_finite = _null_non_finite(rec.measured)
+            if non_finite:
+                rec.status = "fail"
+                rec.error = f"non-finite measurement: {', '.join(non_finite)}"
             rec.seconds = time.perf_counter() - t0
             records.append(rec)
-    return VerificationReport(records=records, config=cfg.echo(),
-                              total_seconds=time.perf_counter() - t_start)
+    return VerificationReport(records=records, config=cfg.echo())

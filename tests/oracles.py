@@ -1,0 +1,110 @@
+"""Adaptive QUADPACK oracles for the fixed-grid evaluators.
+
+The package computes W and every integral on fixed Gauss-Legendre panels.
+The functions here reach the same quantities by a different route,
+adaptive quadrature with an explicit error policy, so tests can check the
+grid tier against an independent reference. Import them as
+`from oracles import ...`: `tests/` has no `__init__.py`, so pytest puts
+this directory on `sys.path`.
+"""
+
+import math
+import warnings
+from typing import Optional
+
+from scipy.integrate import IntegrationWarning, quad
+
+from tauberlab import GrowthTarget, QuadratureConfig, QuadratureError, kernel_derivative
+from tauberlab.quadrature import DEFAULT_CONFIG
+
+_HALF_PI = 0.5 * math.pi
+
+
+def integrate(f, a, b, config=None, points=None, limit=2000):
+    """Adaptive integral of a real integrand on [a, b].
+
+    Returns (value, abserr). Breakpoints in `points` (e.g. a kink of the
+    integrand) are forwarded to the subdivision, and `limit` caps the
+    number of subintervals. A result whose reported error exceeds ten
+    times the configured budget raises QuadratureError; mild roundoff
+    complaints on otherwise-converged results are accepted.
+    """
+    cfg = config or DEFAULT_CONFIG
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        out = quad(
+            f,
+            a,
+            b,
+            epsabs=cfg.abs_tol,
+            epsrel=cfg.rel_tol,
+            limit=limit,
+            points=points,
+            full_output=1,
+        )
+    value, abserr = out[0], out[1]
+    if len(out) > 3:  # QUADPACK flagged trouble; accept only if error is in budget
+        budget = 10.0 * max(cfg.abs_tol, cfg.rel_tol * abs(value))
+        if not abserr <= budget:
+            raise QuadratureError(
+                f"integral on [{a}, {b}] did not converge: {out[3].strip()} "
+                f"(abserr={abserr:.3e})"
+            )
+    return value, abserr
+
+
+def integrate_complex(f, a, b, config=None, points=None):
+    """Adaptive integral of a complex integrand, by parts."""
+    re, re_err = integrate(lambda t: f(t).real, a, b, config, points)
+    im, im_err = integrate(lambda t: f(t).imag, a, b, config, points)
+    return complex(re, im), math.hypot(re_err, im_err)
+
+
+def _theta_breakpoints(target: GrowthTarget, y: float):
+    bp = target.branch_point
+    if bp is None:
+        return None
+    t = math.atan2(bp, y)
+    return [t] if 0.0 < t < _HALF_PI else None
+
+
+def smooth(omega: GrowthTarget, y: float, config: Optional[QuadratureConfig] = None) -> float:
+    """W(y) by adaptive quadrature of the integral of omega(y tan t) over (0, pi/2)."""
+    if y <= 0:
+        raise ValueError("smooth needs y > 0")
+    om = omega.omega
+    val, _ = integrate(
+        lambda t: float(om(y * math.tan(t))),
+        0.0,
+        _HALF_PI,
+        config,
+        points=_theta_breakpoints(omega, y),
+    )
+    return val
+
+
+def smooth_derivative(
+    omega: GrowthTarget, n: int, y: float, config: Optional[QuadratureConfig] = None
+) -> float:
+    """n-th derivative of W at y > 0, integrating omega against the kernel derivative.
+
+    The x-integral is mapped through x = y tan(theta) onto a finite
+    interval; the kernel derivative itself comes from the closed form, so
+    omega is only ever sampled, never differentiated.
+    """
+    if n < 1:
+        raise ValueError("smooth_derivative needs n >= 1")
+    if y <= 0:
+        raise ValueError("smooth_derivative needs y > 0")
+    om = omega.omega
+
+    def integrand(t):
+        x = y * math.tan(t)
+        sec2 = 1.0 + (x / y) ** 2
+        return float(om(x)) * kernel_derivative(n, x, y) * y * sec2
+
+    val, _ = integrate(
+        integrand, 0.0, _HALF_PI, config,
+        points=_theta_breakpoints(omega, y),
+    )
+    return val

@@ -282,6 +282,9 @@ class TestConfigErrors:
     def test_unknown_check(self, capsys):
         self.run_expect_2(["verify", "--only", "nope"], capsys, "unknown check")
 
+    def test_empty_check_list(self, capsys):
+        self.run_expect_2(["verify", "--only", ","], capsys, "at least one check")
+
     def test_duplicate_checks(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text('{"checks": ["residue", "residue"]}')
@@ -317,6 +320,14 @@ class TestConfigErrors:
         cfg = tmp_path / "c.json"
         cfg.write_text('{"rate": {"kind": "table"}}')
         self.run_expect_2(["construct", "--config", str(cfg)], capsys, "table")
+
+    def test_table_rate_with_nan_row(self, tmp_path, capsys):
+        table = tmp_path / "rate.csv"
+        table.write_text("x,rho\n0.01,1.0\n1,nan\n1000000,0.001\n")
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"rate": {"kind": "table", "table": str(table)}}))
+        self.run_expect_2(["construct", "--config", str(cfg)], capsys,
+                          "rate: non-finite table row 1")
 
     def test_threads_env_validated(self, monkeypatch, capsys):
         monkeypatch.setenv("TAUBERLAB_THREADS", "many")

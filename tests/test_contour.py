@@ -58,6 +58,41 @@ def test_fixed_ray_cache_matches_exact_rebuild(log_sg):
     assert np.max(np.abs(ray.g0[pick] - exact) / np.abs(exact)) <= 1e-13
 
 
+def _continue_points():
+    # every s the default `continue` grid evaluates F at: each point, its
+    # conjugate (laplace_cos) and the s - 1 shift of laplace_dS with its conjugate
+    from tauberlab.cli import POLE_GUARD, _DEFAULT_S_GRID
+
+    pts = set()
+    for s in _DEFAULT_S_GRID:
+        pts.update((s, s.conjugate()))
+        if abs(s - 1.0) > POLE_GUARD:
+            pts.update((s - 1.0, (s - 1.0).conjugate()))
+    return sorted(pts, key=lambda z: (z.real, z.imag))
+
+
+@pytest.mark.parametrize("R0", [1.0, 2.0])
+def test_ray_truncation_leaves_only_dead_nodes(log_sg, R0):
+    # the envelope rule's contract: from the stop index on, every ray node's
+    # log-magnitude sits below the floor, and the stop lies in dense panels
+    path = ContourPath(R0=R0)
+    for s in _continue_points():
+        angles = [a for a in (contour_mod._shallow_angle(s), contour_mod._pick_angle(s))
+                  if a is not None]
+        stops = 0
+        for ang in angles:
+            ray = contour_mod._ray_cache(log_sg, path, ang)
+            try:
+                stop = contour_mod._ray_stop(ray, path, s)
+            except QuadratureError:
+                continue
+            stops += 1
+            assert stop <= ray.n_dense, (s, ang)
+            tail = (ray.g0 - s * ray.z)[stop:].real
+            assert np.all(tail < contour_mod._TRUNC_LOG), (s, ang)
+        assert stops, s
+
+
 class TestChooseR0:
     def test_sqrt_oracle_lands_on_next_grid_point(self, sqrt_sg):
         # W = (pi/sqrt 2) sqrt(y) crosses 16 at y ~ 51.9; the quarter-octave

@@ -9,7 +9,6 @@ from tauberlab import (
     PhasePartition,
     QuadratureConfig,
     QuadratureError,
-    ScaledValue,
     SmoothedGrowth,
     catalog,
     direct_F,
@@ -31,38 +30,6 @@ def unit_phase_sg():
         GrowthTarget(rho_tilde=None,
                      omega=lambda x: np.full_like(np.asarray(x, dtype=float), 2.0 / math.pi))
     )
-
-
-# -- ScaledValue --------------------------------------------------------------
-
-
-def test_scaled_value_roundtrip():
-    sv = ScaledValue.from_value(-123.456)
-    assert 1.0 <= abs(sv.mantissa) < 10.0
-    assert sv.value() == pytest.approx(-123.456, rel=1e-15)
-    assert sv.sign() == -1
-
-
-def test_scaled_value_zero():
-    sv = ScaledValue.from_value(0.0)
-    assert sv.mantissa == 0.0 and sv.sign() == 0
-    assert sv.log_abs() == -math.inf
-
-
-def test_scaled_value_normalization():
-    sv = ScaledValue.normalized(25.0, 3.0)
-    assert sv.mantissa == pytest.approx(2.5)
-    assert sv.log_scale == pytest.approx(3.0 + math.log(10.0))
-    assert sv.value() == pytest.approx(25.0 * math.e**3, rel=1e-14)
-
-
-def test_scaled_value_ordering_beyond_double_range():
-    a = ScaledValue.normalized(3.0, 500.0)
-    b = ScaledValue.normalized(2.9, 500.0)
-    assert b <= a and not (a <= b)
-    assert ScaledValue.normalized(-3.0, 500.0) <= ScaledValue.normalized(2.0, -500.0)
-    # more-negative magnitude is smaller
-    assert ScaledValue.normalized(-3.0, 500.0) <= ScaledValue.normalized(-2.0, 500.0)
 
 
 # -- phase_panels --------------------------------------------------------------

@@ -57,6 +57,20 @@ def test_table_envelope_dominates_rate_between_samples():
     assert env(2.5) == pytest.approx(0.45)
 
 
+@pytest.mark.parametrize(
+    "row, shown",
+    [((2.0, float("nan")), "rate = nan"),
+     ((2.0, float("inf")), "rate = inf"),
+     ((float("nan"), 0.5), "x = nan")],
+    ids=["nan_rate", "inf_rate", "nan_x"],
+)
+def test_table_rejects_non_finite_row(row, shown):
+    # NaN fails every comparison, so the ordering and positivity guards
+    # alone would let these rows through (and on into validate_rate)
+    with pytest.raises(ValueError, match=f"non-finite table row 1: .*{shown}"):
+        RateFunction(kind="table", table=((1.0, 1.0), row, (3.0, 0.4)))
+
+
 @st.composite
 def _tables(draw, monotone):
     n = draw(st.integers(min_value=1, max_value=8))

@@ -13,13 +13,12 @@ from tauberlab import (
     eval_V,
     kernel_derivative,
     poisson_kernel,
-    smooth,
     smooth_complex,
-    smooth_derivative,
     taylor_coeff,
 )
+from oracles import integrate_complex, smooth, smooth_derivative
 from tauberlab.contour import _ray_edges
-from tauberlab.quadrature import integrate_complex, panel_nodes
+from tauberlab.quadrature import panel_nodes
 from tauberlab.smoothing import MAX_COMPLEX_ARG
 
 SQRT_W_CONST = math.pi / math.sqrt(2.0)  # W(y) = (pi/sqrt 2) sqrt(y) for omega = sqrt

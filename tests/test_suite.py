@@ -232,6 +232,10 @@ class TestSuiteConfig:
         with pytest.raises(ValueError):
             SuiteConfig(x_range=(5.0, 4.0))
 
+    def test_empty_checks_rejected(self):
+        with pytest.raises(ValueError, match="at least one"):
+            SuiteConfig(checks=())
+
     def test_small_witness_count_rejected(self):
         with pytest.raises(ValueError):
             SuiteConfig(n_witnesses=4)
@@ -278,18 +282,40 @@ class TestRunSuite:
 
     def test_deterministic_json(self):
         cfg = SuiteConfig(checks=("lemma21",))
-        a = run_suite(cfg).to_json(include_timings=False)
-        b = run_suite(cfg).to_json(include_timings=False)
+        a = run_suite(cfg).to_json()
+        b = run_suite(cfg).to_json()
         assert a == b
 
     def test_timings_stripped_on_request(self):
+        # records are timed for --verbose, but JSON never carries timings
         rep = run_suite(SuiteConfig(checks=("lemma21",)))
-        doc = json.loads(rep.to_json(include_timings=False))
+        assert all(r.seconds > 0.0 for r in rep.records)
+        doc = json.loads(rep.to_json())
         assert "total_seconds" not in doc
         assert all("seconds" not in r for r in doc["records"])
-        full = json.loads(rep.to_json())
-        assert "total_seconds" in full
-        assert all("seconds" in r for r in full["records"])
+
+    def test_non_finite_measurement_fails_record_and_stays_json(self, monkeypatch):
+        import tauberlab.suite as suite_mod
+
+        def probe(ctx):
+            measured = {"ratio": float("inf"), "series": [1.0, float("nan")],
+                        "tolerance": 1.0}
+            return "pass", measured, {}, []
+
+        monkeypatch.setattr(suite_mod, "_REGISTRY",
+                            (("lemma21", (("probe", "none", probe),)),))
+        rep = run_suite(SuiteConfig(checks=("lemma21",)))
+
+        def reject(name):
+            raise AssertionError(f"non-JSON constant {name}")
+
+        doc = json.loads(rep.to_json(), parse_constant=reject)
+        rec = doc["records"][0]
+        assert rec["status"] == "fail" and doc["status"] == "fail"
+        assert rec["measured"] == {"ratio": None, "series": [1.0, None],
+                                   "tolerance": 1.0}
+        assert "ratio" in rec["error"] and "series" in rec["error"]
+        assert "tolerance" not in rec["error"]
 
     def test_failing_check_recorded_not_raised(self):
         cfg = SuiteConfig(x_range=(10.0, 10.8),
@@ -312,3 +338,13 @@ class TestRunSuite:
         assert default_suite_report.record("pole_residue").group == "residue"
         with pytest.raises(KeyError):
             default_suite_report.record("missing")
+
+
+def test_public_names_resolve():
+    import tauberlab
+
+    for name in tauberlab.__all__:
+        assert hasattr(tauberlab, name), name
+    for gone in ("smooth", "smooth_derivative", "ScaledValue"):
+        assert gone not in tauberlab.__all__
+        assert not hasattr(tauberlab, gone)
