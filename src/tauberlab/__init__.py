@@ -20,18 +20,13 @@ from .rates import (
 )
 from .smoothing import (
     SmoothedGrowth,
-    eval_V,
     kernel_derivative,
     poisson_kernel,
-    smooth_complex,
-    taylor_coeff,
 )
 from .contour import (
     ContourPath,
     cauchy_circle,
-    choose_R0,
     contour_F,
-    decay_bound,
     laplace_cos,
     laplace_dS,
     laplace_tau,
@@ -76,9 +71,6 @@ __all__ = [
     "SmoothedGrowth",
     "poisson_kernel",
     "kernel_derivative",
-    "smooth_complex",
-    "eval_V",
-    "taylor_coeff",
     "PhasePartition",
     "phase_panels",
     "panel_contributions",
@@ -87,8 +79,6 @@ __all__ = [
     "eval_tau",
     "direct_F",
     "ContourPath",
-    "choose_R0",
-    "decay_bound",
     "contour_F",
     "laplace_cos",
     "laplace_dS",

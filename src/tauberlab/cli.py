@@ -42,11 +42,8 @@ CONTINUATION_HEADER = ("re_s", "im_s", "re_F", "im_F",
 # left blank rather than evaluated
 POLE_GUARD = 1e-3
 
-# no 1±5j: laplace_dS there needs F(±5j), whose integrand on the steep ray
-# peaks near e^70, far beyond the cancellation cap (contour._hump_limit)
 _DEFAULT_S_GRID = tuple(
     complex(re, im) for re in (1.0, 2.0, 3.0) for im in (0.0, 1.0, -1.0, 5.0, -5.0)
-    if not (re == 1.0 and abs(im) == 5.0)
 ) + (complex(-1.0, 0.0), complex(-2.0, 3.0))
 
 # grid meaning is per command: construct sweeps the profile argument,

@@ -6,22 +6,22 @@ integral equals any bent path: a real stem [0, R0], a circular arc at R0,
 and a ray to R_max. Off the axis the phase factor decays like
 e^{-Im(zW(z))}, which is what buys convergence for Re s <= 0.
 
-Two ray profiles are supported. The "growth" profile tilts with
-arctan(1/sqrt(W(r))) and needs the anchor W(R0) > 9; it converges only
-where the stem does. The "fixed" profile rides a constant angle from a
-small R0 and is the production default; its angle is chosen per s unless
-pinned. All node sets are cached on the evaluator, so a sweep over many
-s values costs one exp and one dot product each.
+Bending into the region where the phase factor decays is the idea of
+numerical steepest descent (Huybrechs and Vandewalle, SIAM J. Numer.
+Anal. 44, 2006), cut down here to one shape: a ray at one of six fixed
+angles, the one with the lowest integrand hump for the given s. Node sets
+are cached on the evaluator, at most six rays per (R0, R_max), so a sweep
+over many s values costs a few exps and dot products each.
 
-A fixed-profile ray fills i z W(z) at its ~65k nodes from the evaluator's
-Chebyshev proxy in log r (SmoothedGrowth.kernel_complex_ray): ~450 exact
-kernel sums per ray instead of one per node. The ray at angle theta keeps
-a strip of half-width pi/2 - theta in log r clear of the kernel's poles,
+A ray fills i z W(z) at its ~65k nodes from the evaluator's Chebyshev
+proxy in log r (SmoothedGrowth.kernel_complex_ray): ~450 exact kernel
+sums per ray instead of one per node. The ray at angle theta keeps a
+strip of half-width pi/2 - theta in log r clear of the kernel's poles,
 so the proxy converges geometrically (Trefethen, Approximation Theory and
 Approximation Practice, SIAM 2013, ch. 8) and matches the exact sum to
-~4e-15 relative. The stem, the arcs and the growth-profile ray, whose
-angle varies along r, stay on the exact sum, kernel_complex, which also
-remains the reference the proxy is tested against.
+~4e-15 relative. The stem and the arcs stay on the exact sum,
+kernel_complex, which also remains the reference the proxy is tested
+against.
 """
 
 from __future__ import annotations
@@ -49,22 +49,17 @@ _TRUNC_LOG = math.log(1e-19)
 # the tightest advertised bent-path tolerance (1e-9) can absorb
 _HUMP_LIMIT = 15.0
 _HUMP_BASE_TOL = 1e-9
-_R0_SEARCH_CAP = 1e10
+# ray angles, shallow to steep: e^{-sz} decays along a shallow ray when Re s > 0;
+# a steep one buys the phase decay e^{-Im(zW(z))} that must beat it when Re s <= 0
+_RAY_ANGLES = (0.05, 0.3, 0.6, 0.9, 1.15, MAX_COMPLEX_ARG)
 
 
 @dataclass(frozen=True)
 class ContourPath:
-    """Bent integration path: stem [0, R0], arc at R0, ray out to R_max.
-
-    profile "growth" uses the tilt arctan(1/sqrt(W(r))) (valid once
-    W(R0) > 9, which keeps every ray angle inside (0, pi/6)); profile
-    "fixed" rides a constant angle, chosen per s when `angle` is None.
-    """
+    """Bent integration path: stem [0, R0], arc at R0, ray out to R_max (angle per s)."""
 
     R0: float = 1.0
     R_max: float = 2000.0
-    profile: str = "fixed"
-    angle: Optional[float] = None
     quad_config: QuadratureConfig = field(default_factory=lambda: DEFAULT_CONFIG)
 
     def __post_init__(self):
@@ -72,94 +67,6 @@ class ContourPath:
             raise ValueError("need R0 > 0")
         if self.R_max < self.R0:
             raise ValueError("need R_max >= R0")
-        if self.profile not in ("fixed", "growth"):
-            raise ValueError("profile must be 'fixed' or 'growth'")
-        if self.angle is not None and not (0.0 < self.angle <= MAX_COMPLEX_ARG):
-            raise ValueError(f"fixed ray angle must lie in (0, {MAX_COMPLEX_ARG}]")
-
-    def arc_span(self, sg: SmoothedGrowth) -> float:
-        """Opening angle of the arc piece at radius R0."""
-        if self.profile == "growth":
-            return math.atan(1.0 / math.sqrt(float(sg.W(self.R0))))
-        return self.angle if self.angle is not None else math.pi / 3
-
-
-def choose_R0(sg: SmoothedGrowth) -> float:
-    """Smallest quarter-octave grid point with W > 16.
-
-    That margin puts the growth-profile tilt below arctan(1/4), safely
-    inside the arctan(1/3) requirement. Deterministic for a fixed grid.
-    """
-    k_hi = int(4 * math.log2(_R0_SEARCH_CAP))
-    rs = 2.0 ** (np.arange(-8, k_hi + 1) / 4.0)
-    idx = np.nonzero(sg.W(rs) > 16.0)[0]
-    if idx.size == 0:
-        raise ValueError(
-            f"W stays <= 16 out to {_R0_SEARCH_CAP:g}; growth too slow for a bent-path anchor"
-        )
-    return float(rs[idx[0]])
-
-
-def _calibration_anchor(sg: SmoothedGrowth) -> float:
-    # smallest quarter-octave point with W > 9 (the path-validity threshold),
-    # falling back to a fixed radius for rates that never get there
-    k_hi = int(4 * math.log2(1e6))
-    rs = 2.0 ** (np.arange(-8, k_hi + 1) / 4.0)
-    idx = np.nonzero(sg.W(rs) > 9.0)[0]
-    return float(rs[idx[0]]) if idx.size else 1e4
-
-
-def _c_emp(sg: SmoothedGrowth) -> float:
-    def build():
-        r0 = _calibration_anchor(sg)
-        r = np.geomspace(r0, 4.0 * r0, 64)
-        w = sg.W(r)
-        z = r * np.exp(1j * np.arctan(1.0 / np.sqrt(w)))
-        logmag = (1j * z * sg.kernel_complex(z)).real
-        lead = -r * w / (2.0 * np.sqrt(1.0 + w))
-        return 2.0 * max(0.0, float(np.max((logmag - lead) / r)))
-
-    return sg.memo(("c_emp",), build)
-
-
-def decay_bound(sg: SmoothedGrowth, r: float, s: complex,
-                c_emp: Optional[float] = None) -> float:
-    """Upper bound on log|e^{izW(z)}e^{-sz}| at radius r on the growth ray.
-
-    Shape -r W/(2 sqrt(1+W)) + (C + |s|) r with C calibrated once per
-    evaluator (max measured excess per unit radius, safety factor 2);
-    pass c_emp to pin the constant instead.
-    """
-    c = _c_emp(sg) if c_emp is None else c_emp
-    w = float(sg.W(r))
-    return -r * w / (2.0 * math.sqrt(1.0 + w)) + (c + abs(complex(s))) * r
-
-
-def _pick_angle(s: complex) -> float:
-    # upper-half s is the hard side: e^{-sz} grows along an upward ray,
-    # so steepness there maximizes the phase decay that must beat it
-    if s.imag > 0:
-        return 1.257
-    return math.pi / 3
-
-
-def _shallow_angle(s: complex) -> Optional[float]:
-    """Hump-free ray for upper-half s with Re s > 0, or None.
-
-    Below arctan(Re s/Im s) the factor e^{-sz} decays outright, so the
-    integrand has no hump at all. Only worth it when that decay kills
-    the integrand inside the densely resolved region; angles snap to a
-    coarse grid so nearby s values share one node cache.
-    """
-    if not (s.real > 0 and s.imag > 0):
-        return None
-    raw = 0.45 * math.atan2(s.real, s.imag)
-    ang = round(raw / 0.05) * 0.05
-    if not (0.0 < ang < 0.9 * math.atan2(s.real, s.imag)):
-        ang = round(raw, 3)
-    if s.real * math.cos(ang) - s.imag * math.sin(ang) < 0.1:
-        return None
-    return ang
 
 
 class _PieceCache:
@@ -220,32 +127,18 @@ def _ray_edges(R0: float, R_max: float) -> tuple:
 
 
 def _ray_cache(sg: SmoothedGrowth, path: ContourPath, angle: float) -> _PieceCache:
-    key = ("contour_ray", path.profile, round(angle, 6), path.R0, path.R_max)
+    key = ("contour_ray", round(angle, 6), path.R0, path.R_max)
 
     def build():
         edges, dense_top = _ray_edges(path.R0, path.R_max)
         r, w = panel_nodes(edges, 16)
-        if path.profile == "growth":
-            dz = _growth_dz(sg, r)
-            z = r * np.exp(1j * np.arctan(1.0 / np.sqrt(sg.W(r))))
-            wz = sg.kernel_complex(z)
-        else:
-            dz = np.full(r.shape, complex(math.cos(angle), math.sin(angle)))
-            z = r * dz
-            wz = sg.kernel_complex_ray(r, angle)
-        g0 = 1j * z * wz
+        dz = complex(math.cos(angle), math.sin(angle))
+        z = r * dz
+        g0 = 1j * z * sg.kernel_complex_ray(r, angle)
         n_dense = int(np.searchsorted(r, dense_top, side="right"))
         return _PieceCache(z, w * dz, g0, r, n_dense)
 
     return sg.memo(key, build)
-
-
-def _growth_dz(sg: SmoothedGrowth, r):
-    """dz/dr on the growth ray at radii r, by the chain rule through the tilt."""
-    w = sg.W(r)
-    wp = sg.derivative(r, 1)
-    al = np.arctan(1.0 / np.sqrt(w))
-    return np.exp(1j * al) * (1.0 - 0.5j * r * wp / (np.sqrt(w) * (1.0 + w)))
 
 
 def _hump_limit(config: QuadratureConfig) -> float:
@@ -267,17 +160,6 @@ def _sum_piece(cache: _PieceCache, s: complex, limit: float,
         )
     w = cache.w if stop is None else cache.w[:stop]
     return complex(np.sum(np.exp(g) * w))
-
-
-def validate_path(sg: SmoothedGrowth, path: ContourPath) -> None:
-    """Raise if the path violates its contract for this evaluator."""
-    if path.profile == "growth":
-        w0 = float(sg.W(path.R0))
-        if not (w0 > 9.0):
-            raise ValueError(
-                f"growth profile needs W(R0) > 9 so the tilt stays under arctan(1/3); "
-                f"W({path.R0:g}) = {w0:.3f}"
-            )
 
 
 def _ray_stop(ray: _PieceCache, path: ContourPath, s: complex) -> int:
@@ -305,7 +187,7 @@ def _bent_eval(sg: SmoothedGrowth, path: ContourPath, s: complex,
     if path.R0 > 640.0 and math.exp(-s.real * 640.0) >= 1e-16:
         raise QuadratureError(
             f"stem truncation at r=640 is not converged for s={s}; "
-            "use the fixed profile with a small R0 instead"
+            "use a smaller R0"
         )
     ray = _ray_cache(sg, path, angle)
     stop = _ray_stop(ray, path, s)
@@ -317,29 +199,37 @@ def _bent_eval(sg: SmoothedGrowth, path: ContourPath, s: complex,
     )
 
 
+def _pick_angle(sg: SmoothedGrowth, path: ContourPath, s: complex) -> float:
+    """The angle in _RAY_ANGLES whose ray has the lowest integrand hump.
+
+    Rays that _ray_stop would reject (the integrand is still alive past the
+    dense panels) are skipped; among the rest the smallest peak of
+    log|integrand| wins, the first angle on a tie.
+    """
+    peaks = {}
+    for angle in _RAY_ANGLES:
+        ray = _ray_cache(sg, path, angle)
+        g = ray.g0.real - ray.r * (s * complex(math.cos(angle), math.sin(angle))).real
+        if g[ray.n_dense - 1:].max() < _TRUNC_LOG:
+            peaks[angle] = g.max()
+    if not peaks:
+        raise QuadratureError(
+            f"no ray decays below tolerance within the dense panels of "
+            f"R_max={path.R_max:g} for s={s}"
+        )
+    return min(peaks, key=peaks.get)
+
+
 def contour_F(sg: SmoothedGrowth, path: ContourPath, s: complex) -> complex:
     """Continue F(s) = int_0^inf e^{iuW(u)}e^{-su} du to arbitrary s.
 
-    Sum of stem, arc, and ray integrals. The ray is truncated by the
-    measured node envelope: after the first node beyond which
-    log|integrand| stays below log(1e-19) out to R_max. Points
-    whose integrand hump exceeds double precision on the steep ray are
-    retried on a shallow ray when Re s > 0 makes that convergent;
-    otherwise the QuadratureError names the unreachable s.
+    Sum of stem, arc, and ray integrals on the ray _pick_angle chooses.
+    The ray is cut after the first node beyond which log|integrand| stays
+    below log(1e-19) out to R_max. Where no ray works, a QuadratureError
+    names the unreachable s.
     """
-    validate_path(sg, path)
     s = complex(s)
-    if path.profile == "growth":
-        return _bent_eval(sg, path, s, path.arc_span(sg))
-    if path.angle is not None:
-        return _bent_eval(sg, path, s, path.angle)
-    shallow = _shallow_angle(s)
-    if shallow is not None:
-        try:
-            return _bent_eval(sg, path, s, shallow)
-        except QuadratureError:
-            pass
-    return _bent_eval(sg, path, s, _pick_angle(s))
+    return _bent_eval(sg, path, s, _pick_angle(sg, path, s))
 
 
 def laplace_cos(sg: SmoothedGrowth, path: ContourPath, s: complex) -> complex:
@@ -390,6 +280,9 @@ def cauchy_circle(G: Callable[[complex], complex], s0: complex, radius: float,
 
     N-point trapezoid on the circle, spectrally accurate for analytic G:
     ~0 for holomorphic G, ~the residue when a simple pole is enclosed.
+    If G is analytic in the annulus radius/q < |s - s0| < radius*q, the
+    error against the exact circle integral decays like q^-N (Trefethen
+    and Weideman, SIAM Review 56, 2014).
     """
     if radius <= 0:
         raise ValueError("need radius > 0")

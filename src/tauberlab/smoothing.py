@@ -30,7 +30,6 @@ up to MAX_COMPLEX_ARG to the exact sum's own rounding (~4e-15 relative).
 
 from __future__ import annotations
 
-import cmath
 import math
 import threading
 from typing import Optional, Union
@@ -43,9 +42,6 @@ from .rates import GrowthTarget
 # Largest |arg z| the fixed grid resolves to ~1e-8 or better; beyond this the
 # node spacing stops resolving the kernel's complex ridge.
 MAX_COMPLEX_ARG = 1.29
-
-# Taylor sector of the analytic extension around the positive axis.
-SECTOR_ARG = math.pi / 6
 
 # Ray proxy: panel width in log r and Chebyshev points per panel. At angle
 # theta the kernel's poles sit at |Im log r| = pi/2 - theta >= 0.28 (theta <=
@@ -261,34 +257,3 @@ class SmoothedGrowth:
             rows, cols = np.nonzero(hit)
             out[sel[rows]] = vals[p, cols]
         return out
-
-
-def eval_V(sg: SmoothedGrowth, y) -> Union[float, np.ndarray]:
-    """V(y) = W(y) + y W'(y). Positive for every valid target."""
-    return sg.V(y)
-
-
-def smooth_complex(sg: SmoothedGrowth, z: complex) -> complex:
-    """Analytic extension W(z) in the sector |arg z| < pi/6.
-
-    Agrees with W on the positive axis and is conjugate-symmetric.
-    Arguments outside the sector are rejected; the contour machinery uses
-    the evaluator's wider half-plane method directly.
-    """
-    z = complex(z)
-    if z == 0 or abs(cmath.phase(z)) >= SECTOR_ARG:
-        raise ValueError("smooth_complex needs z != 0 with |arg z| < pi/6")
-    return sg.kernel_complex(z)
-
-
-def taylor_coeff(sg: SmoothedGrowth, n: int, x: float) -> float:
-    """Series coefficient W^(n)(x) / n! of the extension around x > 0.
-
-    Bounded by 2^(n+1) x^(-n) W(x), which keeps the series radius at x/2
-    or better.
-    """
-    if x <= 0:
-        raise ValueError("taylor_coeff needs x > 0")
-    if not (0 <= n <= sg.n_max):
-        raise ValueError(f"coefficient order {n} outside [0, {sg.n_max}]")
-    return sg.derivative(x, n) / math.factorial(n)

@@ -32,7 +32,7 @@ from .oscillatory import (
     eval_tau,
     phase_panels,
 )
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig
+from .quadrature import QuadratureConfig
 from .rates import RateFunction, catalog, growth_target, validate_rate
 from .smoothing import SmoothedGrowth
 
@@ -343,13 +343,15 @@ class SuiteConfig:
     grid_points: int = 60
 
     def __post_init__(self):
-        if not (0.0 < self.x_range[0] < self.x_range[1]):
-            raise ValueError("x_range must satisfy 0 < lo < hi")
+        lo, hi = self.x_range
+        if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo < hi):
+            raise ValueError(f"x_range must be finite with 0 < lo < hi, got ({lo!r}, {hi!r})")
         if self.n_witnesses < 5:
             raise ValueError("n_witnesses must be at least 5")
         validate_checks(self.checks)
-        if not (0.0 < self.grid_lo < self.grid_hi):
-            raise ValueError("grid bounds must satisfy 0 < lo < hi")
+        lo, hi = self.grid_lo, self.grid_hi
+        if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo < hi):
+            raise ValueError(f"grid bounds must be finite with 0 < lo < hi, got ({lo!r}, {hi!r})")
         if self.grid_points < 2:
             raise ValueError("grid needs at least 2 points")
 

@@ -1,9 +1,10 @@
-"""Adaptive QUADPACK oracles for the fixed-grid evaluators.
+"""Independent oracles for the fixed-grid evaluators and the bent path.
 
 The package computes W and every integral on fixed Gauss-Legendre panels.
-The functions here reach the same quantities by a different route,
+Most functions here reach the same quantities by a different route,
 adaptive quadrature with an explicit error policy, so tests can check the
-grid tier against an independent reference. Import them as
+grid tier against an independent reference. `growth_path_F` reaches the
+continued transform along a different contour. Import them as
 `from oracles import ...`: `tests/` has no `__init__.py`, so pytest puts
 this directory on `sys.path`.
 """
@@ -12,10 +13,11 @@ import math
 import warnings
 from typing import Optional
 
+import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from tauberlab import GrowthTarget, QuadratureConfig, QuadratureError, kernel_derivative
-from tauberlab.quadrature import DEFAULT_CONFIG
+from tauberlab.quadrature import DEFAULT_CONFIG, grade_origin, panel_nodes
 
 _HALF_PI = 0.5 * math.pi
 
@@ -108,3 +110,34 @@ def smooth_derivative(
         points=_theta_breakpoints(omega, y),
     )
     return val
+
+
+def growth_path_F(sg, R0: float, s: complex, R_max: float) -> complex:
+    """F(s) on the paper's tilted path, out to R_max.
+
+    Stem [0, R0], arc at R0 to arctan(1/sqrt W(R0)), then the curve
+    r exp(i arctan(1/sqrt W(r))) with dz/dr by the chain rule. Every node
+    takes the exact sum `kernel_complex`, so by Cauchy's theorem this checks
+    `contour_F`'s fixed rays and their proxy on another contour. Needs
+    W(R0) > 9 (tilt under arctan(1/3)); raises unless the integrand is dead
+    (< 1e-19) at R_max.
+    """
+    s = complex(s)
+    w0 = float(sg.W(R0))
+    if not w0 > 9.0:
+        raise ValueError(f"growth path needs W(R0) > 9; W({R0:g}) = {w0:.3f}")
+    u, wu = panel_nodes(grade_origin(np.linspace(0.0, R0, math.ceil(R0 / 0.1) + 1)), 16)
+    total = np.sum(np.exp(1j * u * sg.W(u) - s * u) * wu)
+    # graded toward the stem: the phase factor collapses within ~1/(R0 W)
+    arc = grade_origin(np.linspace(0.0, math.atan(1.0 / math.sqrt(w0)), 9), levels=30)
+    t, wt = panel_nodes(arc, 16)
+    z = R0 * np.exp(1j * t)
+    total += np.sum(np.exp(1j * z * sg.kernel_complex(z) - s * z) * 1j * z * wt)
+    r, wr = panel_nodes(np.linspace(R0, R_max, math.ceil((R_max - R0) / 0.05) + 1), 16)
+    w, wp = sg.W(r), sg.derivative(r, 1)
+    tilt = np.exp(1j * np.arctan(1.0 / np.sqrt(w)))
+    dz = tilt * (1.0 - 0.5j * r * wp / (np.sqrt(w) * (1.0 + w)))
+    f = np.exp(1j * r * tilt * sg.kernel_complex(r * tilt) - s * r * tilt)
+    if not np.abs(f[-16:]).max() < 1e-19:
+        raise QuadratureError(f"growth path integrand alive at R_max={R_max:g} for s={s}")
+    return complex(total + np.sum(f * dz * wr))

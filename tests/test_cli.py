@@ -201,9 +201,9 @@ class TestContinue:
         assert len(rows) == len(_DEFAULT_S_GRID)
 
     def test_unreachable_point_exits_one_with_reason(self, tmp_path, capsys):
-        # laplace_dS(1+5j) needs F(5j), whose ray integrand peaks past the hump cap
+        # F(-1+20j) peaks past the hump cap, or fails to decay, on every ray
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"s_grid": [[1, 5]], "out_dir": str(tmp_path)}))
+        cfg.write_text(json.dumps({"s_grid": [[-1, 20]], "out_dir": str(tmp_path)}))
         assert main(["continue", "--config", str(cfg)]) == 1
         assert "QuadratureError" in capsys.readouterr().err
 

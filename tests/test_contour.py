@@ -14,25 +14,24 @@ from scipy.integrate import simpson
 
 from tauberlab import (
     ContourPath,
-    GrowthTarget,
     QuadratureConfig,
     SmoothedGrowth,
-    catalog,
     cauchy_circle,
-    choose_R0,
     contour_F,
-    decay_bound,
     direct_F,
     eval_tau,
-    growth_target,
     laplace_cos,
     laplace_dS,
     laplace_tau,
 )
+from oracles import growth_path_F
 from tauberlab.quadrature import QuadratureError
 import tauberlab.contour as contour_mod
 
 CFG8 = QuadratureConfig(abs_tol=1e-8)
+# W = (pi/sqrt 2) sqrt(y) on the sqrt kernel passes 16 just below this
+# quarter-octave point, so the growth path's tilt stays under arctan(1/4)
+SQRT_R0 = 2.0 ** (23.0 / 4.0)
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +50,8 @@ def _direct(sg, s):
 
 
 def test_fixed_ray_cache_matches_exact_rebuild(log_sg):
-    ray = contour_mod._ray_cache(log_sg, ContourPath(), math.pi / 3)
+    # the steepest production angle, where the proxy's strip is narrowest
+    ray = contour_mod._ray_cache(log_sg, ContourPath(), contour_mod._RAY_ANGLES[-1])
     pick = np.unique(np.r_[np.arange(0, ray.z.size, 37), ray.z.size - 1])
     z = ray.z[pick]
     exact = 1j * z * log_sg.kernel_complex(z)
@@ -73,63 +73,26 @@ def _continue_points():
 
 @pytest.mark.parametrize("R0", [1.0, 2.0])
 def test_ray_truncation_leaves_only_dead_nodes(log_sg, R0):
-    # the envelope rule's contract: from the stop index on, every ray node's
-    # log-magnitude sits below the floor, and the stop lies in dense panels
+    # the envelope rule's contract on every candidate ray: from the stop
+    # index on, each node's log-magnitude sits below the floor, and the stop
+    # lies in dense panels; the ray _pick_angle chooses always has a stop
     path = ContourPath(R0=R0)
     for s in _continue_points():
-        angles = [a for a in (contour_mod._shallow_angle(s), contour_mod._pick_angle(s))
-                  if a is not None]
-        stops = 0
-        for ang in angles:
+        picked = contour_mod._pick_angle(log_sg, path, s)
+        for ang in contour_mod._RAY_ANGLES:
             ray = contour_mod._ray_cache(log_sg, path, ang)
             try:
                 stop = contour_mod._ray_stop(ray, path, s)
             except QuadratureError:
+                assert ang != picked, s
                 continue
-            stops += 1
             assert stop <= ray.n_dense, (s, ang)
             tail = (ray.g0 - s * ray.z)[stop:].real
             assert np.all(tail < contour_mod._TRUNC_LOG), (s, ang)
-        assert stops, s
-
-
-class TestChooseR0:
-    def test_sqrt_oracle_lands_on_next_grid_point(self, sqrt_sg):
-        # W = (pi/sqrt 2) sqrt(y) crosses 16 at y ~ 51.9; the quarter-octave
-        # grid point just above is 2**(23/4)
-        assert choose_R0(sqrt_sg) == 2.0 ** (23.0 / 4.0)
-
-    def test_deterministic_across_instances(self, sqrt_target):
-        a = choose_R0(SmoothedGrowth(sqrt_target))
-        b = choose_R0(SmoothedGrowth(sqrt_target))
-        assert a == b
-
-    def test_growth_ray_tilt_within_contract(self, sqrt_sg, pow_sg):
-        for sg in (sqrt_sg, pow_sg):
-            r0 = choose_R0(sg)
-            tilt = math.atan(1.0 / math.sqrt(float(sg.W(r0))))
-            assert 0.0 < tilt < math.atan(1.0 / 3.0)
-
-    def test_slow_growth_errors(self):
-        sg = SmoothedGrowth(growth_target(catalog("loglog")))
-        with pytest.raises(ValueError, match="too slow"):
-            choose_R0(sg)
 
 
 class TestDecayBound:
-    def test_pinned_constant_arithmetic(self):
-        # W == 100 via a constant kernel: the bound reduces to
-        # -r*100/(2 sqrt(101)) + (1 + 0)*r at r=10
-        tgt = GrowthTarget(
-            rho_tilde=None,
-            omega=lambda x: np.full_like(np.asarray(x, dtype=float), 200.0 / np.pi),
-        )
-        sg = SmoothedGrowth(tgt)
-        want = -10.0 * 100.0 / (2.0 * math.sqrt(101.0)) + 10.0
-        assert decay_bound(sg, 10.0, 0.0, c_emp=1.0) == pytest.approx(want, abs=1e-3)
-
-    def test_negative_once_growth_dominates(self, pow_sg):
-        assert decay_bound(pow_sg, 1e6, 2.0) < 0.0
+    """The ray is cut where its measured decay envelope drops below the floor."""
 
     def test_truncation_radius_stability(self, pow_sg):
         # enlarging R_max by 20% must not move a converged value
@@ -182,6 +145,15 @@ class TestContourF:
         d = direct_F(log_sg, s, 840.0)
         assert abs(c - d) <= 1e-8 * (1.0 + abs(d))
 
+    def test_reaches_near_five_i(self, log_sg, path):
+        # the default `continue` grid needs F(+-5j) (about 7.6 -+ 38j, large
+        # from a near-stationary phase); next to 5j the 0.05 ray keeps the
+        # hump under e^1, while the steepest ray peaks near e^74 at 5j
+        s = 0.05 + 5j
+        c = contour_F(log_sg, path, s)
+        d = direct_F(log_sg, s, 45.0 / s.real)
+        assert abs(c - d) <= 1e-9 * abs(d)
+
     def test_unreachable_point_names_s(self, log_sg, path):
         with pytest.raises(QuadratureError, match=r"-1\+20j"):
             contour_F(log_sg, path, -1 + 20j)
@@ -191,37 +163,31 @@ class TestContourF:
             ContourPath(R0=-1.0)
         with pytest.raises(ValueError):
             ContourPath(R0=4.0, R_max=2.0)
-        with pytest.raises(ValueError):
-            ContourPath(angle=1.6)
-        with pytest.raises(ValueError):
-            ContourPath(profile="spiral")
 
 
 class TestGrowthProfile:
-    def test_matches_direct_where_it_converges(self, sqrt_sg):
-        gpath = ContourPath(R0=choose_R0(sqrt_sg), R_max=2000.0, profile="growth")
+    """The paper's tilt arctan(1/sqrt W) as a second path (tests/oracles.py).
+
+    On the sqrt kernel the integrand is dead 2 past SQRT_R0, so R_max =
+    R0 + 2 suffices; the oracle raises if it is not.
+    """
+
+    def test_matches_direct_where_it_converges(self, sqrt_sg, path):
         for s in (0.1, 0.5, 2.0):
-            c = contour_F(sqrt_sg, gpath, s)
+            g = growth_path_F(sqrt_sg, SQRT_R0, s, SQRT_R0 + 2.0)
             d = _direct(sqrt_sg, s)
-            assert abs(c - d) <= 1e-9 * (1.0 + abs(d))
+            assert abs(g - d) <= 1e-9 * (1.0 + abs(d))
+            # Cauchy's theorem: the fixed ray must land on the same value
+            assert abs(contour_F(sqrt_sg, path, s) - g) <= 1e-9 * (1.0 + abs(g))
 
     def test_anchor_doubling(self, sqrt_sg):
-        r0 = choose_R0(sqrt_sg)
-        a = contour_F(sqrt_sg, ContourPath(R0=r0, profile="growth"), 0.1)
-        b = contour_F(sqrt_sg, ContourPath(R0=2 * r0, profile="growth"), 0.1)
+        a = growth_path_F(sqrt_sg, SQRT_R0, 0.1, SQRT_R0 + 2.0)
+        b = growth_path_F(sqrt_sg, 2 * SQRT_R0, 0.1, 2 * SQRT_R0 + 2.0)
         assert abs(a - b) <= 1e-9 * (1.0 + abs(a))
 
     def test_rejects_anchor_with_slow_growth(self, log_sg):
         with pytest.raises(ValueError, match="W\\(R0\\) > 9"):
-            contour_F(log_sg, ContourPath(R0=1.0, profile="growth"), 2.0)
-
-    def test_ray_jacobian_matches_finite_differences(self, sqrt_sg):
-        for r in (60.0, 200.0):
-            h = 1e-6 * r
-            z = lambda rr: rr * np.exp(1j * np.arctan(1.0 / np.sqrt(float(sqrt_sg.W(rr)))))
-            fd = (z(r + h) - z(r - h)) / (2.0 * h)
-            an = contour_mod._growth_dz(sqrt_sg, r)
-            assert abs(an - fd) <= 1e-8 * abs(an)
+            growth_path_F(log_sg, 1.0, 2.0, 3.0)
 
 
 class TestLaplaceCos:

@@ -7,19 +7,10 @@ import time
 import numpy as np
 import pytest
 
-from tauberlab import (
-    GrowthTarget,
-    SmoothedGrowth,
-    eval_V,
-    kernel_derivative,
-    poisson_kernel,
-    smooth_complex,
-    taylor_coeff,
-)
+from tauberlab import GrowthTarget, SmoothedGrowth, kernel_derivative, poisson_kernel
 from oracles import integrate_complex, smooth, smooth_derivative
-from tauberlab.contour import _ray_edges
+from tauberlab.contour import _RAY_ANGLES, _ray_edges
 from tauberlab.quadrature import panel_nodes
-from tauberlab.smoothing import MAX_COMPLEX_ARG
 
 SQRT_W_CONST = math.pi / math.sqrt(2.0)  # W(y) = (pi/sqrt 2) sqrt(y) for omega = sqrt
 
@@ -136,10 +127,10 @@ def test_smooth_derivative_fd_grid(log_target, y):
 
 
 def test_eval_V_constant_and_sqrt(const_sg, sqrt_target):
-    assert eval_V(const_sg, 3.0) == pytest.approx(math.pi / 2, rel=1e-9)
+    assert const_sg.V(3.0) == pytest.approx(math.pi / 2, rel=1e-9)
     sg = SmoothedGrowth(sqrt_target)
     for y in (1.0, 16.0):
-        assert eval_V(sg, y) == pytest.approx(1.5 * SQRT_W_CONST * math.sqrt(y), rel=1e-9)
+        assert sg.V(y) == pytest.approx(1.5 * SQRT_W_CONST * math.sqrt(y), rel=1e-9)
 
 
 def test_V_positive_and_below_5W(log_sg, pow_sg):
@@ -155,30 +146,23 @@ def test_V_positive_and_below_5W(log_sg, pow_sg):
 
 
 def test_smooth_complex_real_axis(log_sg, log_target):
-    val = smooth_complex(log_sg, 3.0 + 0.0j)
+    val = log_sg.kernel_complex(3.0 + 0.0j)
     assert val.imag == pytest.approx(0.0, abs=1e-12)
     assert val.real == pytest.approx(smooth(log_target, 3.0), rel=1e-10)
 
 
 def test_smooth_complex_conjugate_symmetry(log_sg):
     z = 4.0 * cmath.exp(0.3j)
-    assert smooth_complex(log_sg, z.conjugate()) == pytest.approx(
-        smooth_complex(log_sg, z).conjugate(), rel=1e-12
+    assert log_sg.kernel_complex(z.conjugate()) == pytest.approx(
+        log_sg.kernel_complex(z).conjugate(), rel=1e-12
     )
-
-
-def test_smooth_complex_sector_enforced(log_sg):
-    with pytest.raises(ValueError):
-        smooth_complex(log_sg, 10.0 * cmath.exp(0.6j))
-    with pytest.raises(ValueError):
-        smooth_complex(log_sg, 0.0)
 
 
 def test_smooth_complex_matches_taylor_series(log_target):
     sg = SmoothedGrowth(log_target, n_max=8)
     x0, z = 10.0, 10.0 * cmath.exp(0.05j)
-    series = sum(taylor_coeff(sg, n, x0) * (z - x0) ** n for n in range(9))
-    assert smooth_complex(sg, z) == pytest.approx(series, rel=1e-6)
+    series = sum(sg.derivative(x0, n) / math.factorial(n) * (z - x0) ** n for n in range(9))
+    assert sg.kernel_complex(z) == pytest.approx(series, rel=1e-6)
 
 
 def test_kernel_complex_wide_angle_vs_adaptive(log_sg, log_target):
@@ -207,8 +191,6 @@ def test_kernel_complex_argument_cap(log_sg):
 
 # -- ray proxy --------------------------------------------------------------
 
-PROXY_ANGLES = (0.05, 0.1, 0.35, 0.6, math.pi / 3, 1.257, MAX_COMPLEX_ARG)
-
 
 @pytest.mark.parametrize("R0", [1.0, 2.0])
 @pytest.mark.parametrize("sg_name", ["log_sg", "pow_sg"])
@@ -217,7 +199,7 @@ def test_ray_proxy_matches_exact_sum(request, sg_name, R0):
     r, _ = panel_nodes(_ray_edges(R0, 2000.0)[0], 16)
     # every 37th node plus both ends: the exact sum on all ~65k is slow
     pick = np.unique(np.r_[np.arange(0, r.size, 37), r.size - 1])
-    for ang in PROXY_ANGLES:
+    for ang in _RAY_ANGLES:
         proxy = sg.kernel_complex_ray(r, ang)[pick]
         exact = sg.kernel_complex(r[pick] * cmath.exp(1j * ang))
         assert np.max(np.abs(proxy - exact) / np.abs(exact)) <= 1e-13, ang
@@ -274,25 +256,6 @@ def test_memo_builds_each_key_once_under_race(const_target):
     assert not any(t.is_alive() for t in threads)
     assert len(calls) == 1
     assert len(results) == n and all(r is results[0] for r in results)
-
-
-# -- Taylor coefficients ----------------------------------------------------
-
-
-def test_taylor_coeff_basics(log_sg, const_sg):
-    assert taylor_coeff(log_sg, 0, 7.0) == pytest.approx(log_sg.W(7.0))
-    assert taylor_coeff(const_sg, 1, 3.0) == pytest.approx(0.0, abs=1e-10)
-    with pytest.raises(ValueError):
-        taylor_coeff(log_sg, 9, 3.0)
-
-
-def test_taylor_coeff_bound(log_sg):
-    x = 20.0
-    w = log_sg.W(x)
-    for n in range(7):
-        bound = 2.0 ** (n + 1) * x ** (-n) * w
-        ratio = abs(taylor_coeff(log_sg, n, x)) / bound
-        assert ratio <= 1.0 + 1e-6, f"n={n}: |c|/bound = {ratio:.3e}"
 
 
 # -- evaluator handle properties --------------------------------------------

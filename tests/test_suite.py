@@ -232,6 +232,18 @@ class TestSuiteConfig:
         with pytest.raises(ValueError):
             SuiteConfig(x_range=(5.0, 4.0))
 
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"x_range": (10.0, math.inf)}, "x_range"),
+        ({"x_range": (math.nan, 60.0)}, "x_range"),
+        ({"grid_hi": math.inf}, "grid bounds"),
+        ({"grid_lo": math.nan}, "grid bounds"),
+    ])
+    def test_non_finite_range_rejected(self, kwargs, field):
+        # an infinite bound would reach run_suite as a NaN grid: a crash in one
+        # record and a false pass in derivative_envelope (max(0.0, nan) is 0.0)
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SuiteConfig(**kwargs)
+
     def test_empty_checks_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             SuiteConfig(checks=())
@@ -340,11 +352,37 @@ class TestRunSuite:
             default_suite_report.record("missing")
 
 
+class TestContinuationLimits:
+    """The named limits of the continuation side, pinned so a change shows.
+
+    The check points are fixed and W grows slowly at moderate r for these
+    rates, so no ray gets the integrand under the hump cap (or under the
+    truncation floor) at -2+3j and -1.5+3j. The records must fail with a
+    QuadratureError that names the point, never pass silently or crash.
+    """
+
+    @pytest.mark.parametrize("rate, reason", [
+        (catalog("pow", alpha=0.25), "peaks at e^"),
+        (catalog("loglog"), "no ray decays"),
+    ], ids=["pow0.25", "loglog"])
+    def test_named_failures(self, rate, reason):
+        rep = run_suite(SuiteConfig(rate=rate, checks=("continuation", "residue")))
+        assert rep.record("continuation_overlap").status == "pass"
+        assert rep.record("pole_residue").status == "pass"
+        for name, s in (("path_independence", "s=(-2+3j)"),
+                        ("transform_holomorphy", "s=(-1.5+3j)")):
+            rec = rep.record(name)
+            assert rec.status == "fail", name
+            assert rec.error.startswith("QuadratureError: "), rec.error
+            assert reason in rec.error and s in rec.error, rec.error
+
+
 def test_public_names_resolve():
     import tauberlab
 
     for name in tauberlab.__all__:
         assert hasattr(tauberlab, name), name
-    for gone in ("smooth", "smooth_derivative", "ScaledValue"):
+    for gone in ("smooth", "smooth_derivative", "ScaledValue", "choose_R0",
+                 "decay_bound", "eval_V", "smooth_complex", "taylor_coeff"):
         assert gone not in tauberlab.__all__
         assert not hasattr(tauberlab, gone)
