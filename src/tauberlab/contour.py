@@ -19,9 +19,9 @@ sums per ray instead of one per node. The ray at angle theta keeps a
 strip of half-width pi/2 - theta in log r clear of the kernel's poles,
 so the proxy converges geometrically (Trefethen, Approximation Theory and
 Approximation Practice, SIAM 2013, ch. 8) and matches the exact sum to
-~4e-15 relative. The stem and the arcs stay on the exact sum,
-kernel_complex, which also remains the reference the proxy is tested
-against.
+~4e-15 relative. The arcs stay on the exact sum, kernel_complex, which
+also remains the reference the proxy is tested against; the stem reads
+the real-axis W, which its own proxy in log u serves.
 """
 
 from __future__ import annotations
@@ -162,62 +162,48 @@ def _sum_piece(cache: _PieceCache, s: complex, limit: float,
     return complex(np.sum(np.exp(g) * w))
 
 
-def _ray_stop(ray: _PieceCache, path: ContourPath, s: complex) -> int:
-    # measured node envelope: the running max of log|integrand| from the
-    # far end; cut after the first node beyond which it stays under the floor
-    env = np.maximum.accumulate((ray.g0.real - (s * ray.z).real)[::-1])[::-1]
-    ok = np.nonzero(env < _TRUNC_LOG)[0]
-    if ok.size == 0:
-        raise QuadratureError(
-            f"ray envelope never decays below tolerance within R_max={path.R_max:g} "
-            f"for s={s}"
-        )
-    stop = int(ok[0]) + 1
-    if stop > ray.n_dense:
-        raise QuadratureError(
-            f"ray truncation for s={s} lands at r={ray.r[stop - 1]:.0f}, beyond the "
-            "resolved panel region; the integrand decays too slowly on this ray"
-        )
-    return stop
-
-
 def _bent_eval(sg: SmoothedGrowth, path: ContourPath, s: complex,
-               angle: float) -> complex:
+               angle: float, stop: int) -> complex:
     stem = _stem_cache(sg, path.R0)
     if path.R0 > 640.0 and math.exp(-s.real * 640.0) >= 1e-16:
         raise QuadratureError(
             f"stem truncation at r=640 is not converged for s={s}; "
             "use a smaller R0"
         )
-    ray = _ray_cache(sg, path, angle)
-    stop = _ray_stop(ray, path, s)
     limit = _hump_limit(path.quad_config)
     return (
         _sum_piece(stem, s, limit)
         + _sum_piece(_arc_cache(sg, path.R0, angle), s, limit)
-        + _sum_piece(ray, s, limit, stop)
+        + _sum_piece(_ray_cache(sg, path, angle), s, limit, stop)
     )
 
 
-def _pick_angle(sg: SmoothedGrowth, path: ContourPath, s: complex) -> float:
-    """The angle in _RAY_ANGLES whose ray has the lowest integrand hump.
+def _pick_angle(sg: SmoothedGrowth, path: ContourPath, s: complex) -> tuple:
+    """(angle, stop): the ray in _RAY_ANGLES with the lowest integrand hump.
 
-    Rays that _ray_stop would reject (the integrand is still alive past the
-    dense panels) are skipped; among the rest the smallest peak of
-    log|integrand| wins, the first angle on a tie.
+    Rays whose integrand is still alive past the dense panels are skipped;
+    among the rest the smallest peak of log|integrand| wins, the first
+    angle on a tie. The ray is cut after the first node beyond which the
+    measured envelope (the running max of log|integrand| from the far end)
+    stays under _TRUNC_LOG, that is one node past the last node at or above
+    it; the cut lies in the dense panels, since the integrand is already
+    under the floor from the last dense node on.
     """
-    peaks = {}
+    best = None
     for angle in _RAY_ANGLES:
         ray = _ray_cache(sg, path, angle)
         g = ray.g0.real - ray.r * (s * complex(math.cos(angle), math.sin(angle))).real
-        if g[ray.n_dense - 1:].max() < _TRUNC_LOG:
-            peaks[angle] = g.max()
-    if not peaks:
+        peak = g.max()
+        if g[ray.n_dense - 1:].max() < _TRUNC_LOG and (best is None or peak < best[0]):
+            best = (peak, angle, g)
+    if best is None:
         raise QuadratureError(
             f"no ray decays below tolerance within the dense panels of "
             f"R_max={path.R_max:g} for s={s}"
         )
-    return min(peaks, key=peaks.get)
+    _, angle, g = best
+    alive = np.flatnonzero(g >= _TRUNC_LOG)
+    return angle, int(alive[-1]) + 2 if alive.size else 1
 
 
 def contour_F(sg: SmoothedGrowth, path: ContourPath, s: complex) -> complex:
@@ -229,7 +215,7 @@ def contour_F(sg: SmoothedGrowth, path: ContourPath, s: complex) -> complex:
     names the unreachable s.
     """
     s = complex(s)
-    return _bent_eval(sg, path, s, _pick_angle(sg, path, s))
+    return _bent_eval(sg, path, s, *_pick_angle(sg, path, s))
 
 
 def laplace_cos(sg: SmoothedGrowth, path: ContourPath, s: complex) -> complex:

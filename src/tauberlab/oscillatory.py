@@ -74,10 +74,8 @@ def _phase_roots(sg: SmoothedGrowth, targets: np.ndarray, lo: float, hi: float,
         u = anchor_u + (t - anchor_p) / v0
         u = np.clip(u, anchor_u, hi)
         for _ in range(4):
-            w = sg.W(u)
-            w1 = sg.derivative(u, 1)
-            f = u * w - t
-            u = np.clip(u - f / (w + u * w1), 0.5 * anchor_u, 2.0 * hi)
+            f = sg.phase(u) - t
+            u = np.clip(u - f / sg.V(u), 0.5 * anchor_u, 2.0 * hi)
         miss = np.abs(sg.phase(u) - t) > 1e-9 * (1.0 + np.abs(t))
         for j in np.nonzero(miss)[0]:
             if j > 0:

@@ -6,8 +6,8 @@ on (0, inf). The rescaled substitution x = y * tan(theta) turns that into
     W(y) = integral over (0, pi/2) of omega(y * tan(theta)) d(theta)
 
 Derivatives in y never touch omega' (omega has a kink at the min-branch
-crossover): they use the closed complex-pair form of the kernel
-derivative instead.
+crossover): they use the closed complex form of the kernel derivative
+instead.
 
 The SmoothedGrowth handle carries a fixed composite Gauss-Legendre grid
 in x on which omega is sampled once, so every consumer (contour rays,
@@ -16,16 +16,29 @@ extension W(z) as matrix-vector products over shared nodes. An adaptive
 quadrature of the rescaled form above stays in the test suite as the
 independent oracle this grid is checked against.
 
-`kernel_complex` is the exact reference for W(z): the full node sum per
-point. Contour rays need W at ~65k radii per angle, so `kernel_complex_ray`
-serves them from a Chebyshev proxy. On a ray of angle theta, t = log r
-maps the kernel's poles (the imaginary axis) to the lines
-|Im t| = pi/2 - theta, so W(e^t e^{i theta}) is analytic in that strip.
+Each side has an exact tier and a proxy tier. The exact tier is the full
+node sum per point: `derivative` on the real axis, `kernel_complex` off
+it. They feed the proxies, the Lemma 2.1 grid checks and the tests. The
+proxy tier interpolates the exact tier on Chebyshev panels in a log
+variable:
+
+- `W`, `V`, `V_prime` and `phase` read y^n W^(n)(y), n <= 2, from a
+  fixed lattice of panels in t = log y, each filled once, on first use,
+  from one exact call of fixed shape; outside the lattice they use the
+  exact sum. The kernel's poles in y sit at +-i x_j, which t = log y maps
+  to the lines Im t = +-pi/2, and y^n d^n/dy^n keeps that strip, so
+  y^n W^(n)(e^t) is analytic in |Im t| < pi/2.
+- `kernel_complex_ray` serves contour rays, which need W at ~65k radii
+  per angle. On a ray of angle theta, t = log r maps the poles (the
+  imaginary axis) to the lines |Im t| = pi/2 - theta, so W(e^t e^{i theta})
+  is analytic in that narrower strip.
+
 Piecewise Chebyshev interpolation in t then converges geometrically in the
 points per panel, at a rate set by the Bernstein ellipse that fits in the
 strip (Trefethen, Approximation Theory and Approximation Practice, SIAM
-2013, ch. 8). The fixed panel width and point count resolve every angle
-up to MAX_COMPLEX_ARG to the exact sum's own rounding (~4e-15 relative).
+2013, ch. 8). The fixed panel width and point count resolve the real axis
+and every ray angle up to MAX_COMPLEX_ARG to the exact sum's own rounding
+(~4e-15 relative). Both proxies share one barycentric evaluator.
 """
 
 from __future__ import annotations
@@ -43,31 +56,84 @@ from .rates import GrowthTarget
 # node spacing stops resolving the kernel's complex ridge.
 MAX_COMPLEX_ARG = 1.29
 
-# Ray proxy: panel width in log r and Chebyshev points per panel. At angle
-# theta the kernel's poles sit at |Im log r| = pi/2 - theta >= 0.28 (theta <=
-# MAX_COMPLEX_ARG); a panel of half-width 0.25 then has Bernstein ellipse
-# parameter >= 2.6, so the error decays like 2.6^-n, ~2e-12 at n = 28 before
-# constants. Measured against kernel_complex: <= 4e-15 relative at every
-# angle up to the cap.
+# Proxy panels: width in log y (log r on a ray) and Chebyshev points per
+# panel. At ray angle theta the kernel's poles sit at |Im log r| = pi/2 -
+# theta >= 0.28 (theta <= MAX_COMPLEX_ARG); a panel of half-width 0.25 then
+# has Bernstein ellipse parameter >= 2.6, so the error decays like 2.6^-n,
+# ~2e-12 at n = 28 before constants (on the real axis, theta = 0, the
+# parameter is 12.6). Measured against the exact sums: <= 4e-15 relative at
+# every angle up to the cap.
 _PROXY_PANEL = 0.5
 _PROXY_POINTS = 28
+_CHEB = -np.cos(math.pi * np.arange(_PROXY_POINTS) / (_PROXY_POINTS - 1))
+_BARY = (-1.0) ** np.arange(_PROXY_POINTS)
+_BARY[[0, -1]] *= 0.5
+
+# Real-axis lattice: panel k spans [k, k + 1] * _PROXY_PANEL in log y for
+# _LATTICE[0] <= k < _LATTICE[1], that is y in [e^-30, e^15) ~ [9e-14, 3.3e6);
+# the phase sweeps, tau tables and stems stay inside it
+_LATTICE = (-60, 30)
+
+
+def _cheb_nodes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Chebyshev points on each panel [lo, hi], one row per panel, ends exact."""
+    nodes = 0.5 * (lo[:, None] + hi[:, None]) + 0.5 * (hi[:, None] - lo[:, None]) * _CHEB
+    nodes[:, 0], nodes[:, -1] = lo, hi
+    return nodes
+
+
+_LATTICE_EDGES = np.arange(_LATTICE[0], _LATTICE[1] + 1) * _PROXY_PANEL
+_LATTICE_NODES = _cheb_nodes(_LATTICE_EDGES[:-1], _LATTICE_EDGES[1:])
+
+
+def _barycentric(t: np.ndarray, pan: np.ndarray, nodes: np.ndarray,
+                 vals: np.ndarray) -> np.ndarray:
+    """Interpolate at each t from the samples vals[pan] at the points nodes[pan].
+
+    Second-kind barycentric formula; a t on a node returns that node's
+    sample. Each row sums on its own, so a value does not depend on the
+    other points of the call, and chunks keep the (len(t), _PROXY_POINTS)
+    temporaries small.
+    """
+    out = np.empty(t.shape, dtype=vals.dtype)
+    for i in range(0, t.size, 4096):
+        p = pan[i : i + 4096]
+        d = t[i : i + 4096, None] - nodes[p]
+        hit = d == 0.0
+        c = _BARY / np.where(hit, 1.0, d)
+        v = vals[p]
+        part = (c * v).sum(axis=1) / c.sum(axis=1)
+        rows, cols = np.nonzero(hit)
+        part[rows] = v[rows, cols]
+        out[i : i + 4096] = part
+    return out
 
 
 def poisson_kernel(x, y):
     """P(x, y) = y / (y^2 + x^2) for y > 0."""
-    if np.any(np.asarray(y) <= 0):
-        raise ValueError("poisson_kernel needs y > 0")
-    x = np.asarray(x, dtype=float)
-    out = y / (y * y + x * x)
-    return out if out.ndim else float(out)
+    return kernel_derivative(0, x, y)
+
+
+def _kernel_n(n: int, x, y):
+    # P = -Im w with w = 1/(x + iy) and dw/dy = -i w^2, so
+    # d^n P / dy^n = -n! Im((-i)^n w^(n+1)); (-i)^n only swaps parts and signs
+    if n == 0:
+        return y / (y * y + x * x)
+    # reciprocal first: |x + iy| spans ~50 orders across the node range
+    w = 1.0 / (x + 1j * y)
+    p = w
+    for _ in range(n):
+        p = p * w
+    part = p.imag if n % 2 == 0 else p.real
+    return (-math.factorial(n) if n % 4 in (0, 3) else math.factorial(n)) * part
 
 
 def kernel_derivative(n: int, x, y):
-    """n-th y-derivative of the Poisson kernel, via the complex-pair form.
+    """n-th y-derivative of the Poisson kernel, in closed complex form.
 
-    Writing P = Im(1/(x - iy)) gives
+    Writing P = -Im w with w = 1/(x + iy) gives
 
-        d^n P / d y^n = Re{ (i/2) n! [ (-i)^n (x+iy)^-(n+1) - i^n (x-iy)^-(n+1) ] }
+        d^n P / d y^n = -n! Im{ (-i)^n w^(n+1) }
 
     which is exact for every n and avoids differencing. Satisfies
     |result| <= 2^(n+1) n! / (y^2 + x^2)^((n+1)/2).
@@ -75,14 +141,8 @@ def kernel_derivative(n: int, x, y):
     if n < 0:
         raise ValueError("derivative order must be >= 0")
     if np.any(np.asarray(y) <= 0):
-        raise ValueError("kernel_derivative needs y > 0")
-    if n == 0:
-        return poisson_kernel(x, y)
-    x = np.asarray(x, dtype=float)
-    fac = math.factorial(n)
-    zp = (x + 1j * y) ** (-(n + 1))
-    zm = (x - 1j * y) ** (-(n + 1))
-    out = (0.5j * fac * ((-1j) ** n * zp - (1j) ** n * zm)).real
+        raise ValueError("the Poisson kernel needs y > 0")
+    out = _kernel_n(n, np.asarray(x, dtype=float), y)
     return out if out.ndim else float(out)
 
 
@@ -104,8 +164,9 @@ class SmoothedGrowth:
         to ~1e-14 relative and complex arguments within |arg z| <= 1.26
         to better than 1e-10 (checked against adaptive quadrature in tests).
 
-    All evaluators are pure; caches only memoize exact re-evaluations and
-    are lock-protected, so handles may be shared across worker threads.
+    All evaluators are pure; caches hold only data derived deterministically
+    from the target (proxy panels, tables) and are lock-protected, so
+    handles may be shared across worker threads.
     """
 
     def __init__(
@@ -145,27 +206,18 @@ class SmoothedGrowth:
         out = np.empty(y.shape, dtype=float)
         x = nodes[None, :]
         # chunked: a full (len(y), len(nodes)) kernel matrix can exceed memory
-        for i in range(0, y.size, 2048):
-            yy = y[i : i + 2048, None]
-            if n == 0:
-                k = yy / (yy * yy + x * x)
-            else:
-                fac = math.factorial(n)
-                # reciprocal first: |x + iy| spans ~50 orders across the node range
-                wp = (1.0 / (x + 1j * yy)) ** (n + 1)
-                wm = (1.0 / (x - 1j * yy)) ** (n + 1)
-                k = (0.5j * fac * ((-1j) ** n * wp - (1j) ** n * wm)).real
-            out[i : i + 2048] = k @ ow
+        for i in range(0, y.size, 256):
+            out[i : i + 256] = _kernel_n(n, x, y[i : i + 256, None]) @ ow
         return out
 
-    # -- real evaluators -----------------------------------------------
-
-    def W(self, y) -> Union[float, np.ndarray]:
-        """W(y) for scalar or array y > 0."""
-        return self.derivative(y, 0)
+    # -- exact real evaluator --------------------------------------------
 
     def derivative(self, y, n: int) -> Union[float, np.ndarray]:
-        """W^(n)(y); n = 0 gives W itself."""
+        """W^(n)(y) by the exact node sum; n = 0 gives W itself.
+
+        The real twin of kernel_complex: it feeds the proxy panels behind
+        W, V, V_prime and phase, and the grid checks of Lemma 2.1.
+        """
         if not (0 <= n <= max(self.n_max, 0)):
             raise ValueError(f"derivative order {n} outside [0, {self.n_max}]")
         arr = np.atleast_1d(np.asarray(y, dtype=float))
@@ -174,23 +226,58 @@ class SmoothedGrowth:
         out = self._kernel_sum(arr, n)
         return out if np.ndim(y) else float(out[0])
 
+    # -- proxy-served real evaluators ------------------------------------
+
+    def _proxy_panel(self, n: int, k: int) -> np.ndarray:
+        # y^n W^(n)(y) at the Chebyshev points of lattice panel k, from one
+        # exact call of fixed shape, so the bits do not depend on who asks first
+        def build():
+            y = np.exp(_LATTICE_NODES[k - _LATTICE[0]])
+            return y ** n * self.derivative(y, n)
+
+        return self.memo(("real_proxy", n, k), build)
+
+    def _scaled(self, y, n: int) -> Union[float, np.ndarray]:
+        """y^n W^(n)(y), n <= 2: the lattice proxy inside it, the exact sum outside."""
+        arr = np.atleast_1d(np.asarray(y, dtype=float))
+        if np.any(arr <= 0):
+            raise ValueError("W needs y > 0")
+        t = np.log(arr)
+        k = np.floor(t / _PROXY_PANEL)
+        inside = (k >= _LATTICE[0]) & (k < _LATTICE[1])
+        out = np.empty(arr.shape)
+        if inside.any():
+            ks, pan = np.unique(k[inside].astype(int), return_inverse=True)
+            vals = np.stack([self._proxy_panel(n, int(j)) for j in ks])
+            out[inside] = _barycentric(t[inside], pan.ravel(),
+                                       _LATTICE_NODES[ks - _LATTICE[0]], vals)
+        if not inside.all():
+            far = arr[~inside]
+            out[~inside] = far ** n * self._kernel_sum(far, n)
+        return out if np.ndim(y) else float(out[0])
+
+    def W(self, y) -> Union[float, np.ndarray]:
+        """W(y) for scalar or array y > 0."""
+        return self._scaled(y, 0)
+
     def V(self, y) -> Union[float, np.ndarray]:
         """V(y) = W(y) + y W'(y), the phase velocity."""
-        return self.W(y) + np.asarray(y, dtype=float) * self.derivative(y, 1)
+        return self._scaled(y, 0) + self._scaled(y, 1)
 
     def V_prime(self, y) -> Union[float, np.ndarray]:
-        return 2.0 * self.derivative(y, 1) + np.asarray(y, dtype=float) * self.derivative(y, 2)
+        """V'(y) = 2 W'(y) + y W''(y)."""
+        return (2.0 * self._scaled(y, 1) + self._scaled(y, 2)) / np.asarray(y, dtype=float)
 
     def phase(self, y) -> Union[float, np.ndarray]:
         """phi(y) = y W(y); strictly increasing since phi' = V > 0."""
-        return np.asarray(y, dtype=float) * self.W(y)
+        return np.asarray(y, dtype=float) * self._scaled(y, 0)
 
     def memo(self, key, build):
         """Cache an expensive derived object on this instance.
 
         Each key is built once: racing callers wait on a per-key gate
         while the first one builds. ``build`` runs outside ``self._lock``,
-        since builds evaluate W, which takes that lock.
+        since builds run the node sums, whose grid takes that lock.
         """
         with self._lock:
             if key in self._built:
@@ -238,22 +325,9 @@ class SmoothedGrowth:
         t = np.log(np.asarray(r, dtype=float))
         n_pan = max(1, math.ceil((t[-1] - t[0]) / _PROXY_PANEL))
         edges = np.linspace(t[0], t[-1], n_pan + 1)
-        k = np.arange(_PROXY_POINTS)
-        cheb = -np.cos(math.pi * k / (_PROXY_POINTS - 1))
-        nodes = 0.5 * (edges[:-1, None] + edges[1:, None]) \
-            + 0.5 * (edges[1:, None] - edges[:-1, None]) * cheb
-        nodes[:, 0], nodes[:, -1] = edges[:-1], edges[1:]
+        nodes = _cheb_nodes(edges[:-1], edges[1:])
         rot = complex(math.cos(angle), math.sin(angle))
         vals = self.kernel_complex(np.exp(nodes).ravel() * rot).reshape(nodes.shape)
-        bw = (-1.0) ** k
-        bw[[0, -1]] *= 0.5
-        cuts = np.searchsorted(t, edges[1:-1], side="right")
-        out = np.empty(t.shape, dtype=complex)
-        for p, sel in enumerate(np.split(np.arange(t.size), cuts)):
-            d = t[sel, None] - nodes[p]
-            hit = d == 0.0
-            c = bw / np.where(hit, 1.0, d)
-            out[sel] = (c @ vals[p]) / c.sum(axis=1)
-            rows, cols = np.nonzero(hit)
-            out[sel[rows]] = vals[p, cols]
-        return out
+        # a radius on an interior edge belongs to the panel on its left
+        pan = np.searchsorted(edges[1:-1], t, side="left")
+        return _barycentric(t, pan, nodes, vals)

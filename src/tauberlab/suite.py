@@ -409,10 +409,10 @@ def _check_growth_slope(ctx: _SuiteContext):
 
 def _check_growth_scaling(ctx: _SuiteContext):
     y = ctx.grid
-    w = np.asarray(ctx.sg.W(y), dtype=float)
+    w = np.asarray(ctx.sg.derivative(y, 0), dtype=float)
     worst = -math.inf
     for a in _SCALE_FACTORS:
-        gap = a * w - np.asarray(ctx.sg.W(a * y), dtype=float)
+        gap = a * w - np.asarray(ctx.sg.derivative(a * y, 0), dtype=float)
         worst = max(worst, float(gap.max()))
     status = "pass" if worst <= _SCALING_TOL else "fail"
     measured = {"max_violation": worst, "tolerance": _SCALING_TOL,
@@ -422,7 +422,7 @@ def _check_growth_scaling(ctx: _SuiteContext):
 
 def _check_derivative_envelope(ctx: _SuiteContext):
     y = ctx.grid
-    w = np.asarray(ctx.sg.W(y), dtype=float)
+    w = np.asarray(ctx.sg.derivative(y, 0), dtype=float)
     worst = 0.0
     for n in range(1, 7):
         dn = np.asarray(ctx.sg.derivative(y, n), dtype=float)
@@ -435,7 +435,7 @@ def _check_derivative_envelope(ctx: _SuiteContext):
 
 def _check_envelope_bracket(ctx: _SuiteContext):
     y = ctx.grid
-    w = np.asarray(ctx.sg.W(y), dtype=float)
+    w = np.asarray(ctx.sg.derivative(y, 0), dtype=float)
     om = np.asarray(ctx.sg.target.omega(y), dtype=float)
     om_sq = np.asarray(ctx.sg.target.omega(y * y), dtype=float)
     c1 = float(np.min(w / om))

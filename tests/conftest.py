@@ -41,6 +41,11 @@ def sqrt_target():
 
 
 @pytest.fixture(scope="session")
+def sqrt_sg(sqrt_target):
+    return SmoothedGrowth(sqrt_target)
+
+
+@pytest.fixture(scope="session")
 def default_suite_report():
     # one full default run shared by the suite and acceptance modules
     from tauberlab import run_suite

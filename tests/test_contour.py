@@ -35,11 +35,6 @@ SQRT_R0 = 2.0 ** (23.0 / 4.0)
 
 
 @pytest.fixture(scope="module")
-def sqrt_sg(sqrt_target):
-    return SmoothedGrowth(sqrt_target)
-
-
-@pytest.fixture(scope="module")
 def path():
     return ContourPath()
 
@@ -73,22 +68,17 @@ def _continue_points():
 
 @pytest.mark.parametrize("R0", [1.0, 2.0])
 def test_ray_truncation_leaves_only_dead_nodes(log_sg, R0):
-    # the envelope rule's contract on every candidate ray: from the stop
-    # index on, each node's log-magnitude sits below the floor, and the stop
-    # lies in dense panels; the ray _pick_angle chooses always has a stop
+    # the envelope rule's contract on the stop _pick_angle returns: from it
+    # on, each summed node's log-magnitude sits below the floor, the node
+    # before the last kept one does not, and the stop lies in dense panels
     path = ContourPath(R0=R0)
     for s in _continue_points():
-        picked = contour_mod._pick_angle(log_sg, path, s)
-        for ang in contour_mod._RAY_ANGLES:
-            ray = contour_mod._ray_cache(log_sg, path, ang)
-            try:
-                stop = contour_mod._ray_stop(ray, path, s)
-            except QuadratureError:
-                assert ang != picked, s
-                continue
-            assert stop <= ray.n_dense, (s, ang)
-            tail = (ray.g0 - s * ray.z)[stop:].real
-            assert np.all(tail < contour_mod._TRUNC_LOG), (s, ang)
+        angle, stop = contour_mod._pick_angle(log_sg, path, s)
+        ray = contour_mod._ray_cache(log_sg, path, angle)
+        g = (ray.g0 - s * ray.z).real
+        assert 1 <= stop <= ray.n_dense, (s, angle)
+        assert np.all(g[stop - 1:] < contour_mod._TRUNC_LOG), (s, angle)
+        assert stop == 1 or g[stop - 2] >= contour_mod._TRUNC_LOG, (s, angle)
 
 
 class TestDecayBound:

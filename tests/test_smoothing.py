@@ -11,6 +11,7 @@ from tauberlab import GrowthTarget, SmoothedGrowth, kernel_derivative, poisson_k
 from oracles import integrate_complex, smooth, smooth_derivative
 from tauberlab.contour import _RAY_ANGLES, _ray_edges
 from tauberlab.quadrature import panel_nodes
+from tauberlab.smoothing import _LATTICE, _PROXY_PANEL
 
 SQRT_W_CONST = math.pi / math.sqrt(2.0)  # W(y) = (pi/sqrt 2) sqrt(y) for omega = sqrt
 
@@ -49,6 +50,17 @@ def test_kernel_derivative_third_order_vs_finite_difference():
     h = 0.02
     oracle = (4.0 * _fd3(f, y, h / 2) - _fd3(f, y, h)) / 3.0
     assert kernel_derivative(3, x, y) == pytest.approx(oracle, rel=1e-6)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_kernel_derivative_matches_complex_pair_form(n):
+    # the symmetric form Re{(i/2) n! [(-i)^n (x+iy)^-(n+1) - i^n (x-iy)^-(n+1)]}
+    for x in (0.0, 0.3, 1.0, 5.0, 40.0):
+        for y in (0.1, 1.0, 7.0):
+            zp, zm = complex(x, y) ** (-(n + 1)), complex(x, -y) ** (-(n + 1))
+            pair = (0.5j * math.factorial(n) * ((-1j) ** n * zp - 1j ** n * zm)).real
+            scale = math.factorial(n) / (y * y + x * x) ** ((n + 1) / 2)
+            assert kernel_derivative(n, x, y) == pytest.approx(pair, rel=1e-13, abs=1e-14 * scale)
 
 
 @pytest.mark.parametrize("n", range(7))
@@ -221,6 +233,86 @@ def test_ray_proxy_returns_sample_at_node():
     ends = sg.kernel_complex(np.exp(np.log(r[[0, -1]])) * rot)
     assert out[0] == ends[0] and out[-1] == ends[1]
     assert out[1] == pytest.approx(1.0 / (1.0 + 1.2 * rot), rel=1e-14)
+
+
+# -- real-axis proxy ----------------------------------------------------------
+
+_PROXY_Y = np.exp(np.random.default_rng(7).uniform(math.log(1e-9), math.log(1e6), 4000))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("sg_name", ["log_sg", "pow_sg", "sqrt_sg"])
+def test_real_proxy_matches_exact_sum(request, sg_name, n):
+    # |proxy - exact| <= 1e-13 W for y^n W^(n)(y), at random log-uniform y
+    sg = request.getfixturevalue(sg_name)
+    y = _PROXY_Y
+    err = np.abs(sg._scaled(y, n) - y ** n * sg.derivative(y, n))
+    assert np.max(err / sg.derivative(y, 0)) <= 1e-13
+
+
+def test_real_proxy_bits_do_not_depend_on_history(log_target):
+    y = np.array([0.37, 3.0, 41.5, 2.2e3])
+    fresh = SmoothedGrowth(log_target).W(y)
+    warm = SmoothedGrowth(log_target)
+    warm.V(np.logspace(-2, 4, 777))
+    warm.V_prime(1.1 * y)
+    warm.phase(5.0)
+    assert np.array_equal(warm.W(y), fresh)
+
+
+class _CountingGrowth(SmoothedGrowth):
+    def __init__(self, target):
+        super().__init__(target)
+        self.exact_calls = []
+
+    def derivative(self, y, n):
+        self.exact_calls.append((np.size(y), n))
+        return super().derivative(y, n)
+
+
+def test_real_proxy_panel_race_builds_once(log_target):
+    y = np.array([3.1, 3.2])  # both in the panel [1.0, 1.5] of log y
+    ref = SmoothedGrowth(log_target).W(y)
+    sg = _CountingGrowth(log_target)
+    start = threading.Barrier(2)
+    out = [None, None]
+
+    def worker(i):
+        start.wait()
+        out[i] = sg.W(y)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sg.exact_calls == [(28, 0)]
+    assert np.array_equal(out[0], ref) and np.array_equal(out[1], ref)
+
+
+def test_real_proxy_falls_back_to_exact_outside_lattice(log_sg):
+    lo = math.exp(_LATTICE[0] * _PROXY_PANEL)
+    hi = math.exp(_LATTICE[1] * _PROXY_PANEL)
+    for y in (0.5 * lo, 2.0 * hi):
+        w, w1 = log_sg.derivative(y, 0), log_sg.derivative(y, 1)
+        assert log_sg.W(y) == w
+        assert log_sg.V(y) == w + y * w1
+        assert log_sg.phase(y) == y * w
+    mixed = np.array([0.5 * lo, 1.0, 2.0 * hi])
+    assert log_sg.W(mixed) == pytest.approx(log_sg.derivative(mixed, 0), rel=1e-14)
+
+
+def test_real_proxy_scalar_matches_array(log_sg):
+    y = np.logspace(-3, 5, 97)
+    for f in (log_sg.W, log_sg.V, log_sg.V_prime, log_sg.phase):
+        arr = f(y)
+        assert all(f(float(v)) == arr[i] for i, v in enumerate(y)), f.__name__
 
 
 # -- memo --------------------------------------------------------------------
