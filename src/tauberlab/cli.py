@@ -312,10 +312,12 @@ def cmd_construct(cfg: RunConfig) -> int:
     sg = _make_sg(cfg)
     xs = _x_grid(cfg)
     omega = [float(sg.target(x)) for x in xs]
-    w = np.asarray(sg.W(xs), dtype=float)
-    wp = np.asarray(sg.derivative(xs, 1), dtype=float)
-    v = np.asarray(sg.V(xs), dtype=float)
-    phase = np.asarray(sg.phase(xs), dtype=float)
+    # every column from the proxy's y^n W^(n)(y), n = 0, 1, as W, V and phase are
+    w = np.asarray(sg.scaled(xs, 0), dtype=float)
+    xwp = np.asarray(sg.scaled(xs, 1), dtype=float)
+    wp = xwp / xs
+    v = w + xwp
+    phase = xs * w
     rows = (
         tuple(_fmt(c) for c in cols)
         for cols in zip(xs, omega, w, wp, v, phase)

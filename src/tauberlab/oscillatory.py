@@ -74,8 +74,10 @@ def _phase_roots(sg: SmoothedGrowth, targets: np.ndarray, lo: float, hi: float,
         u = anchor_u + (t - anchor_p) / v0
         u = np.clip(u, anchor_u, hi)
         for _ in range(4):
-            f = sg.phase(u) - t
-            u = np.clip(u - f / sg.V(u), 0.5 * anchor_u, 2.0 * hi)
+            # Newton on phi(u) = u W(u) with phi' = V = W + u W'; each order once
+            w0 = sg.scaled(u, 0)
+            step = (u * w0 - t) / (w0 + sg.scaled(u, 1))
+            u = np.clip(u - step, 0.5 * anchor_u, 2.0 * hi)
         miss = np.abs(sg.phase(u) - t) > 1e-9 * (1.0 + np.abs(t))
         for j in np.nonzero(miss)[0]:
             if j > 0:
@@ -159,8 +161,9 @@ def eval_T_main(sg: SmoothedGrowth, x: float) -> float:
 
 def _tau_tail(sg: SmoothedGrowth, y: float) -> float:
     # two integrations by parts of the tail from y; error falls as ~1/(y V^2) per step
-    v = sg.V(y)
-    return -math.sin(sg.phase(y)) / v + math.cos(sg.phase(y)) * sg.V_prime(y) / v**3
+    w0, w1, w2 = (sg.scaled(y, n) for n in range(3))
+    phi, v, v1 = y * w0, w0 + w1, (2.0 * w1 + w2) / y
+    return -math.sin(phi) / v + math.cos(phi) * v1 / v**3
 
 
 class _TauTable:

@@ -22,12 +22,13 @@ it. They feed the proxies, the Lemma 2.1 grid checks and the tests. The
 proxy tier interpolates the exact tier on Chebyshev panels in a log
 variable:
 
-- `W`, `V`, `V_prime` and `phase` read y^n W^(n)(y), n <= 2, from a
-  fixed lattice of panels in t = log y, each filled once, on first use,
-  from one exact call of fixed shape; outside the lattice they use the
-  exact sum. The kernel's poles in y sit at +-i x_j, which t = log y maps
-  to the lines Im t = +-pi/2, and y^n d^n/dy^n keeps that strip, so
-  y^n W^(n)(e^t) is analytic in |Im t| < pi/2.
+- `scaled` serves y^n W^(n)(y), n <= 2, and `W`, `V`, `V_prime` and
+  `phase` are built from it. It reads a lattice of panels of fixed width
+  in t = log y, one panel per integer multiple of the width, each filled
+  once, on first use, from one exact call of fixed shape. The kernel's
+  poles in y sit at +-i x_j, which t = log y maps to the lines
+  Im t = +-pi/2, and y^n d^n/dy^n keeps that strip, so y^n W^(n)(e^t) is
+  analytic in |Im t| < pi/2.
 - `kernel_complex_ray` serves contour rays, which need W at ~65k radii
   per angle. On a ray of angle theta, t = log r maps the poles (the
   imaginary axis) to the lines |Im t| = pi/2 - theta, so W(e^t e^{i theta})
@@ -69,21 +70,12 @@ _CHEB = -np.cos(math.pi * np.arange(_PROXY_POINTS) / (_PROXY_POINTS - 1))
 _BARY = (-1.0) ** np.arange(_PROXY_POINTS)
 _BARY[[0, -1]] *= 0.5
 
-# Real-axis lattice: panel k spans [k, k + 1] * _PROXY_PANEL in log y for
-# _LATTICE[0] <= k < _LATTICE[1], that is y in [e^-30, e^15) ~ [9e-14, 3.3e6);
-# the phase sweeps, tau tables and stems stay inside it
-_LATTICE = (-60, 30)
-
 
 def _cheb_nodes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Chebyshev points on each panel [lo, hi], one row per panel, ends exact."""
     nodes = 0.5 * (lo[:, None] + hi[:, None]) + 0.5 * (hi[:, None] - lo[:, None]) * _CHEB
     nodes[:, 0], nodes[:, -1] = lo, hi
     return nodes
-
-
-_LATTICE_EDGES = np.arange(_LATTICE[0], _LATTICE[1] + 1) * _PROXY_PANEL
-_LATTICE_NODES = _cheb_nodes(_LATTICE_EDGES[:-1], _LATTICE_EDGES[1:])
 
 
 def _barycentric(t: np.ndarray, pan: np.ndarray, nodes: np.ndarray,
@@ -228,49 +220,49 @@ class SmoothedGrowth:
 
     # -- proxy-served real evaluators ------------------------------------
 
-    def _proxy_panel(self, n: int, k: int) -> np.ndarray:
-        # y^n W^(n)(y) at the Chebyshev points of lattice panel k, from one
-        # exact call of fixed shape, so the bits do not depend on who asks first
+    def _proxy_panel(self, n: int, k: int, nodes: np.ndarray) -> np.ndarray:
+        # y^n W^(n)(y) at the Chebyshev points `nodes` (in log y) of panel k,
+        # from one exact call of fixed shape, so the bits do not depend on
+        # who asks first
         def build():
-            y = np.exp(_LATTICE_NODES[k - _LATTICE[0]])
+            y = np.exp(nodes)
             return y ** n * self.derivative(y, n)
 
         return self.memo(("real_proxy", n, k), build)
 
-    def _scaled(self, y, n: int) -> Union[float, np.ndarray]:
-        """y^n W^(n)(y), n <= 2: the lattice proxy inside it, the exact sum outside."""
+    def scaled(self, y, n: int) -> Union[float, np.ndarray]:
+        """y^n W^(n)(y) for n <= 2, served by the real-axis proxy.
+
+        Panel k spans [k, k + 1] * _PROXY_PANEL in t = log y, for every
+        integer k, so one rule covers every y > 0. W, V, V_prime and phase
+        are sums and products of these; callers that need several of them
+        at the same points can ask for each order once.
+        """
         arr = np.atleast_1d(np.asarray(y, dtype=float))
-        if np.any(arr <= 0):
-            raise ValueError("W needs y > 0")
+        if not np.all((arr > 0) & np.isfinite(arr)):
+            raise ValueError("W needs finite y > 0")  # a panel index needs a finite log y
         t = np.log(arr)
-        k = np.floor(t / _PROXY_PANEL)
-        inside = (k >= _LATTICE[0]) & (k < _LATTICE[1])
-        out = np.empty(arr.shape)
-        if inside.any():
-            ks, pan = np.unique(k[inside].astype(int), return_inverse=True)
-            vals = np.stack([self._proxy_panel(n, int(j)) for j in ks])
-            out[inside] = _barycentric(t[inside], pan.ravel(),
-                                       _LATTICE_NODES[ks - _LATTICE[0]], vals)
-        if not inside.all():
-            far = arr[~inside]
-            out[~inside] = far ** n * self._kernel_sum(far, n)
+        ks, pan = np.unique(np.floor(t / _PROXY_PANEL), return_inverse=True)
+        nodes = _cheb_nodes(ks * _PROXY_PANEL, (ks + 1.0) * _PROXY_PANEL)
+        vals = np.stack([self._proxy_panel(n, int(k), row) for k, row in zip(ks, nodes)])
+        out = _barycentric(t.ravel(), pan.ravel(), nodes, vals).reshape(arr.shape)
         return out if np.ndim(y) else float(out[0])
 
     def W(self, y) -> Union[float, np.ndarray]:
         """W(y) for scalar or array y > 0."""
-        return self._scaled(y, 0)
+        return self.scaled(y, 0)
 
     def V(self, y) -> Union[float, np.ndarray]:
         """V(y) = W(y) + y W'(y), the phase velocity."""
-        return self._scaled(y, 0) + self._scaled(y, 1)
+        return self.scaled(y, 0) + self.scaled(y, 1)
 
     def V_prime(self, y) -> Union[float, np.ndarray]:
         """V'(y) = 2 W'(y) + y W''(y)."""
-        return (2.0 * self._scaled(y, 1) + self._scaled(y, 2)) / np.asarray(y, dtype=float)
+        return (2.0 * self.scaled(y, 1) + self.scaled(y, 2)) / np.asarray(y, dtype=float)
 
     def phase(self, y) -> Union[float, np.ndarray]:
         """phi(y) = y W(y); strictly increasing since phi' = V > 0."""
-        return np.asarray(y, dtype=float) * self._scaled(y, 0)
+        return np.asarray(y, dtype=float) * self.scaled(y, 0)
 
     def memo(self, key, build):
         """Cache an expensive derived object on this instance.

@@ -66,7 +66,8 @@ class TestConstruct:
         _, rows = read_csv(profile_dir / "w_profile.csv")
         for r in rows:
             x, w, wp, v = (float(r[i]) for i in (0, 2, 3, 4))
-            assert abs(v - (w + x * wp)) <= 1e-12 * abs(v)
+            # all four columns come from one evaluator, so they agree to rounding
+            assert abs(v - (w + x * wp)) <= 1e-15 * abs(v)
 
     def test_phase_column_identity(self, profile_dir):
         _, rows = read_csv(profile_dir / "w_profile.csv")

@@ -11,7 +11,6 @@ from tauberlab import GrowthTarget, SmoothedGrowth, kernel_derivative, poisson_k
 from oracles import integrate_complex, smooth, smooth_derivative
 from tauberlab.contour import _RAY_ANGLES, _ray_edges
 from tauberlab.quadrature import panel_nodes
-from tauberlab.smoothing import _LATTICE, _PROXY_PANEL
 
 SQRT_W_CONST = math.pi / math.sqrt(2.0)  # W(y) = (pi/sqrt 2) sqrt(y) for omega = sqrt
 
@@ -246,7 +245,7 @@ def test_real_proxy_matches_exact_sum(request, sg_name, n):
     # |proxy - exact| <= 1e-13 W for y^n W^(n)(y), at random log-uniform y
     sg = request.getfixturevalue(sg_name)
     y = _PROXY_Y
-    err = np.abs(sg._scaled(y, n) - y ** n * sg.derivative(y, n))
+    err = np.abs(sg.scaled(y, n) - y ** n * sg.derivative(y, n))
     assert np.max(err / sg.derivative(y, 0)) <= 1e-13
 
 
@@ -296,16 +295,19 @@ def test_real_proxy_panel_race_builds_once(log_target):
     assert np.array_equal(out[0], ref) and np.array_equal(out[1], ref)
 
 
-def test_real_proxy_falls_back_to_exact_outside_lattice(log_sg):
-    lo = math.exp(_LATTICE[0] * _PROXY_PANEL)
-    hi = math.exp(_LATTICE[1] * _PROXY_PANEL)
-    for y in (0.5 * lo, 2.0 * hi):
-        w, w1 = log_sg.derivative(y, 0), log_sg.derivative(y, 1)
-        assert log_sg.W(y) == w
-        assert log_sg.V(y) == w + y * w1
-        assert log_sg.phase(y) == y * w
-    mixed = np.array([0.5 * lo, 1.0, 2.0 * hi])
-    assert log_sg.W(mixed) == pytest.approx(log_sg.derivative(mixed, 0), rel=1e-14)
+def test_real_proxy_serves_every_y(log_sg):
+    # panels are keyed by floor(log y / width) alone, so far y is served too
+    y = np.array([1e-300, 1e-100, 1e-20, 1e20, 1e100, 1e150])
+    w = log_sg.derivative(y, 0)
+    for n in (0, 1):
+        err = np.abs(log_sg.scaled(y, n) - y ** n * log_sg.derivative(y, n))
+        assert np.all(err <= 1e-13 * w), n
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+def test_real_proxy_rejects_y_without_a_panel(log_sg, bad):
+    with pytest.raises(ValueError, match="finite y > 0"):
+        log_sg.W(np.array([1.0, bad]))
 
 
 def test_real_proxy_scalar_matches_array(log_sg):
