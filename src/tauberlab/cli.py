@@ -17,7 +17,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Tuple
@@ -30,7 +29,7 @@ from .quadrature import QuadratureConfig
 from .rates import RateFunction, catalog, growth_target, load_table, validate_rate
 from .smoothing import SmoothedGrowth
 from .suite import (DEFAULT_CHECKS, SuiteConfig, omega_pm_witnesses, run_suite,
-                    validate_checks)
+                    validate_checks, validate_range)
 
 W_PROFILE_HEADER = ("x", "omega", "W", "Wp", "V", "phase")
 OSCILLATION_HEADER = ("x", "T_scaled", "T_main", "S_scaled", "tau", "D")
@@ -76,7 +75,6 @@ class RunConfig:
     quad: QuadratureConfig
     checks: Tuple[str, ...]
     out_dir: Path
-    threads: int = 1
     verbose: bool = False
 
 
@@ -162,8 +160,10 @@ def _build_grid(doc: dict, args, command: str) -> Tuple[float, float, int, str]:
         x_min, x_max, points = _parse_x_range(args.x_range)
     if scale not in ("log", "linear"):
         raise ConfigError(f"grids.scale: must be 'log' or 'linear', got {scale!r}")
-    if not (math.isfinite(x_min) and math.isfinite(x_max) and 0.0 < x_min < x_max):
-        raise ConfigError(f"grids: need 0 < x_min < x_max, got [{x_min!r}, {x_max!r}]")
+    try:
+        validate_range(x_min, x_max, "grids: x_min, x_max")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if points < 2:
         raise ConfigError(f"grids.points: need at least 2, got {points}")
     return x_min, x_max, points, scale
@@ -228,19 +228,6 @@ def _build_checks(doc: dict, args) -> Tuple[str, ...]:
     return tuple(checks)
 
 
-def _threads_from_env() -> int:
-    raw = os.environ.get("TAUBERLAB_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        val = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"TAUBERLAB_THREADS: expected an integer, got {raw!r}") from exc
-    if val < 0:
-        raise ConfigError(f"TAUBERLAB_THREADS: must be >= 0, got {val}")
-    return val if val > 0 else (os.cpu_count() or 1)
-
-
 def build_config(args, command: str) -> RunConfig:
     doc = _load_json(args.config) if args.config else {}
     _check_keys(doc, _TOP_KEYS, "config")
@@ -257,7 +244,6 @@ def build_config(args, command: str) -> RunConfig:
         quad=_build_quad(doc),
         checks=_build_checks(doc, args),
         out_dir=Path(out_dir),
-        threads=_threads_from_env(),
         verbose=bool(args.verbose),
     )
 
@@ -280,13 +266,6 @@ def _write_csv(path: Path, header: Tuple[str, ...], rows) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(row) for row in rows)
     _write_atomic(path, "\n".join(lines) + "\n")
-
-
-def _parallel_map(fn, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(threads, len(items))) as pool:
-        return list(pool.map(fn, items))
 
 
 def _x_grid(cfg: RunConfig) -> np.ndarray:
@@ -334,7 +313,6 @@ def cmd_oscillate(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
     sg = _make_sg(cfg)
     rho = cfg.rate
-    eval_tau(sg, cfg.x_min, cfg.quad)  # build the shared tail table once
 
     def row(x: float):
         r = float(rho(x))
@@ -349,7 +327,7 @@ def cmd_oscillate(cfg: RunConfig) -> int:
         cells = tuple(_fmt(c) for c in (x, t_scaled, t_main, s_scaled, tau, d))
         return cells, gap
 
-    results = _parallel_map(row, [float(x) for x in _x_grid(cfg)], cfg.threads)
+    results = [row(float(x)) for x in _x_grid(cfg)]
     rows = [cells for cells, _ in results]
     remainder_max = max(gap for _, gap in results)
     witnesses, _ = omega_pm_witnesses(sg, rho, (cfg.x_min, cfg.x_max), cfg.quad)
@@ -387,7 +365,7 @@ def cmd_continue(cfg: RunConfig) -> int:
             cells += [_fmt(lds.real), _fmt(lds.imag)]
         return tuple(cells)
 
-    rows = _parallel_map(row, list(cfg.s_grid), cfg.threads)
+    rows = [row(s) for s in cfg.s_grid]
     report = run_suite(SuiteConfig(
         rate=cfg.rate, checks=("continuation", "residue"), quad_config=cfg.quad,
     ))

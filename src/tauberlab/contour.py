@@ -149,17 +149,15 @@ def _hump_limit(config: QuadratureConfig) -> float:
 
 def _sum_piece(cache: _PieceCache, s: complex, limit: float,
                stop: Optional[int] = None) -> complex:
-    g = cache.g0 - s * cache.z
-    if stop is not None:
-        g = g[:stop]
+    # slice first: the arithmetic then runs only over the nodes kept
+    g = cache.g0[:stop] - s * cache.z[:stop]
     peak = float(g.real.max()) if g.size else -math.inf
     if peak > limit:
         raise QuadratureError(
             f"contour integrand peaks at e^{peak:.0f} for s={s}; cancellation "
             "leaves fewer digits than the advertised tolerance on this ray"
         )
-    w = cache.w if stop is None else cache.w[:stop]
-    return complex(np.sum(np.exp(g) * w))
+    return complex(np.sum(np.exp(g) * cache.w[:stop]))
 
 
 def _bent_eval(sg: SmoothedGrowth, path: ContourPath, s: complex,

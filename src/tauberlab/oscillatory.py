@@ -1,9 +1,27 @@
 """Oscillatory integrals driven by the monotone phase phi(u) = u W(u).
 
-Since phi' = V > 0, the phase crosses each multiple of pi exactly once.
-Panels bounded by those crossings keep every integrand single-signed in
-its cosine factor, so plain Gauss-Legendre per panel converges fast and
-the panel sums are compensated exactly (math.fsum).
+Since phi' = V > 0, the phase crosses each multiple of pi/2 exactly once.
+Every consumer reads those crossings from one knot table per evaluator:
+the roots u_j of phi(u_j) = j pi/2 for integers j >= 1. The even j are
+the pi-knots that bound the quadrature panels, and the odd j the
+half-knots where sin(phi) peaks and the witnesses sit.
+
+The table is filled by segments (e_(m-1), e_m] of a fixed doubling
+lattice e_m = 2500 * 2^m, m an integer, whose edges include the tau
+table's truncation points. Each segment is one memo entry on the
+evaluator, solved once, on first use, from its two endpoints alone, so a
+knot's bits depend neither on query order nor on thread count, and a
+query on [0, x] solves nothing past the lattice edge above x. Within a
+segment one vectorized solve seeds every root by interpolating phi
+sampled on the segment, then takes Newton steps on phi' = V, with
+bisection steps guarding each root inside its bracket.
+
+Panels bounded by the pi-knots keep every integrand single-signed in its
+cosine factor, so plain Gauss-Legendre per panel converges fast and
+the panel sums are compensated exactly (math.fsum). The panels of
+T_scaled up to the last pi-knot below x, their Gauss nodes and cos(phi)
+there do not depend on x, so they are kept per lattice segment as well,
+and a call computes only e^(u - x) on them.
 
 Exponentially weighted quantities never materialize e^x: integrands are
 written against e^(u - x) <= 1, and the cumulative integral leaves this
@@ -14,10 +32,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .quadrature import (
     QuadratureConfig,
@@ -27,6 +44,17 @@ from .quadrature import (
     refine_edges,
 )
 from .smoothing import SmoothedGrowth
+
+_HALF_PI = 0.5 * math.pi
+# largest |phi(u_j) - j pi/2| a knot may keep
+KNOT_RESIDUAL = 1e-9
+# lattice edges e_m = 2500 * 2^m; below e_-60 (~2e-15) no segment is built
+_LATTICE_BASE = 2500.0
+_LATTICE_MIN = -60
+# Newton stops once its step is below this fraction of u (a few ulps);
+# bisection alone shrinks any segment bracket that far in 64 steps
+_STEP_FLOOR = 2.0 ** -50
+_MAX_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -43,73 +71,102 @@ class PhasePartition:
         return np.concatenate([[self.x0], self.knots, [self.x1]])
 
 
-def _phase_targets(sg: SmoothedGrowth, x0: float, x1: float, offset: float = 0.0):
-    # multiples of pi (shifted by offset) strictly inside (phi(x0), phi(x1))
-    p0 = sg.phase(x0) if x0 > 0 else 0.0
-    p1 = sg.phase(x1)
-    k_lo = math.floor((p0 - offset) / math.pi) + 1
-    k_hi = math.ceil((p1 - offset) / math.pi) - 1
-    ks = np.arange(k_lo, k_hi + 1)
-    t = offset + math.pi * ks
-    keep = (t > p0) & (t < p1)
-    return ks[keep], t[keep]
+def _phase_roots(sg: SmoothedGrowth, targets: np.ndarray, lo: float,
+                 hi: float) -> np.ndarray:
+    """Solve phi(u) = t for each ascending target t in (phi(lo), phi(hi)].
 
-
-def _phase_roots(sg: SmoothedGrowth, targets: np.ndarray, lo: float, hi: float,
-                 root_tol: float = 1e-10) -> np.ndarray:
-    """Solve phi(u) = target for each ascending target in (phi(lo), phi(hi)).
-
-    Chunked vectorized Newton from linear seeds (spacing is ~pi/V), with a
-    bracketed fallback for any straggler. phi is strictly increasing, so
-    roots are simple and ordered.
+    phi sampled at evenly spaced points of [lo, hi] brackets every root
+    and seeds it by linear interpolation. Newton steps on phi' = V then
+    shrink each bracket; a step that would leave its bracket is replaced
+    by the bracket's midpoint. All of it is vectorized over the targets.
+    Raises QuadratureError naming the first target whose residual stays
+    above KNOT_RESIDUAL.
     """
     if targets.size == 0:
         return np.zeros(0)
-    roots = np.empty(targets.size)
-    anchor_u = max(lo, 1e-12)
-    anchor_p = sg.phase(anchor_u) if lo > 0 else 0.0
-    for i in range(0, targets.size, 512):
-        t = targets[i : i + 512]
-        v0 = max(float(sg.V(anchor_u)), 1e-12)
-        u = anchor_u + (t - anchor_p) / v0
-        u = np.clip(u, anchor_u, hi)
-        for _ in range(4):
-            # Newton on phi(u) = u W(u) with phi' = V = W + u W'; each order once
-            w0 = sg.scaled(u, 0)
-            step = (u * w0 - t) / (w0 + sg.scaled(u, 1))
-            u = np.clip(u - step, 0.5 * anchor_u, 2.0 * hi)
-        miss = np.abs(sg.phase(u) - t) > 1e-9 * (1.0 + np.abs(t))
-        for j in np.nonzero(miss)[0]:
-            if j > 0:
-                lo_b = float(u[j - 1])
-            elif i > 0:
-                lo_b = float(roots[i - 1])
-            else:
-                lo_b = max(lo, 1e-12)
-            while sg.phase(lo_b) > t[j] and lo_b > 1e-12:
-                lo_b *= 0.5
-            hi_b = lo_b + 4.0 * math.pi / max(float(sg.V(lo_b)), 1e-12)
-            while sg.phase(hi_b) < t[j]:
-                hi_b += 4.0 * math.pi / max(float(sg.V(hi_b)), 1e-12)
-            u[j] = brentq(lambda q: float(sg.phase(q)) - t[j], lo_b, hi_b, rtol=1e-13)
-        roots[i : i + 512] = u
-        anchor_u, anchor_p = float(u[-1]), float(t[-1])
-    if np.any(np.diff(roots) <= 0):
-        raise QuadratureError("phase root ordering broke; root finder did not converge")
-    err = np.abs(sg.phase(roots) - targets)
-    if np.any(err > root_tol * (1.0 + np.abs(targets)) * 10):
-        raise QuadratureError("phase roots exceeded the requested tolerance")
-    return roots
+    grid = np.linspace(lo, hi, targets.size + 2)
+    p = sg.phase(grid)
+    i = np.clip(np.searchsorted(p, targets), 1, grid.size - 1)
+    a, b = grid[i - 1], grid[i]
+    u = a + (targets - p[i - 1]) * (b - a) / (p[i] - p[i - 1])
+    act = np.arange(targets.size)
+    for _ in range(_MAX_STEPS):
+        uu = u[act]
+        w0, w1 = sg.scaled_orders(uu, (0, 1))
+        r = uu * w0 - targets[act]
+        aa = np.where(r < 0, uu, a[act])
+        bb = np.where(r > 0, uu, b[act])
+        step = r / (w0 + w1)
+        nxt = uu - step
+        nxt = np.where((nxt > aa) & (nxt < bb), nxt, 0.5 * (aa + bb))
+        done = np.abs(step) <= _STEP_FLOOR * uu
+        u[act] = np.where(done, uu, nxt)
+        a[act], b[act] = aa, bb
+        act = act[~done]
+        if act.size == 0:
+            break
+    resid = np.abs(sg.phase(u) - targets)
+    bad = np.flatnonzero(~(resid <= KNOT_RESIDUAL))
+    if bad.size:
+        t = float(targets[bad[0]])
+        raise QuadratureError(
+            f"phase knot phi = {round(t / _HALF_PI)} pi/2 missed by {resid[bad[0]]:.1e} "
+            f"(limit {KNOT_RESIDUAL:.0e}) in [{lo:g}, {hi:g}]"
+        )
+    return u
 
 
-def phase_panels(sg: SmoothedGrowth, x0: float, x1: float,
-                 root_tol: float = 1e-10) -> PhasePartition:
+def _edge(m: int) -> float:
+    return math.ldexp(_LATTICE_BASE, m)
+
+
+def _segment(sg: SmoothedGrowth, m: int) -> Tuple[int, np.ndarray]:
+    """(j0, u): the knots u_j, j = j0, j0 + 1, ..., inside (e_(m-1), e_m]."""
+
+    def build():
+        lo, hi = _edge(m - 1), _edge(m)
+        p_lo, p_hi = sg.phase(np.array([lo, hi]))
+        j0 = math.floor(p_lo / _HALF_PI) + 1
+        j = np.arange(j0, math.floor(p_hi / _HALF_PI) + 1)
+        return j0, _phase_roots(sg, j * _HALF_PI, lo, hi)
+
+    return sg.memo(("phase_knots", m), build)
+
+
+def phase_knots(sg: SmoothedGrowth, x0: float, x1: float) -> Tuple[np.ndarray, np.ndarray]:
+    """(j, u) for every knot phi(u) = j pi/2 with x0 < u < x1, ascending.
+
+    Reads the segments from the one above x1 down to the one holding x0,
+    or, from x0 <= 0, down to the one whose lower edge has phi < pi/2.
+    """
+    m = max(_LATTICE_MIN, math.ceil(math.log2(x1 / _LATTICE_BASE)))
+    while _edge(m) < x1:
+        m += 1
+    parts = []
+    while True:
+        j0, u = _segment(sg, m)
+        parts.append((j0, u))
+        if j0 == 1 or _edge(m - 1) <= x0:
+            break
+        if m == _LATTICE_MIN:
+            raise QuadratureError(f"phase passes pi/2 below u = {_edge(m):.1e}")
+        m -= 1
+    j = np.concatenate([j0 + np.arange(u.size) for j0, u in reversed(parts)])
+    u = np.concatenate([u for _, u in reversed(parts)])
+    keep = (u > x0) & (u < x1)
+    return j[keep], u[keep]
+
+
+def phase_panels(sg: SmoothedGrowth, x0: float, x1: float) -> PhasePartition:
     """All u in (x0, x1) with phi(u) on a multiple of pi, ascending."""
     if not (x1 > x0 > 0):
         raise ValueError("phase_panels needs x1 > x0 > 0")
-    _, targets = _phase_targets(sg, x0, x1)
-    knots = _phase_roots(sg, targets, x0, x1, root_tol)
-    return PhasePartition(x0=x0, x1=x1, knots=knots, root_tol=root_tol)
+    return PhasePartition(x0=x0, x1=x1, knots=_pi_knots(sg, x0, x1))
+
+
+def _pi_knots(sg: SmoothedGrowth, x0: float, x1: float) -> np.ndarray:
+    j, u = phase_knots(sg, x0, x1)
+    return u[j % 2 == 0]
 
 
 # -- weighted oscillatory integrals -----------------------------------------
@@ -120,27 +177,92 @@ def _width_cap(config: QuadratureConfig) -> float:
     return 1.2 if config.rel_tol >= 1e-12 else 0.6
 
 
-def _panel_quad(edges: np.ndarray, values, order: int = 20):
-    """Per-panel Gauss-Legendre integrals of values(u-array) over each panel."""
+def _gauss_panels(edges: np.ndarray, order: int = 20):
+    """Gauss-Legendre nodes, one row per panel, and half-width * weight."""
     gx, gw = gauss_legendre(order)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * np.diff(edges)
-    u = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
-    g = values(u).reshape(mid.size, order)
-    return (g * (half[:, None] * gw[None, :])).sum(axis=1)
+    return mid[:, None] + half[:, None] * gx[None, :], half[:, None] * gw[None, :]
+
+
+def _panel_quad(edges: np.ndarray, values, order: int = 20):
+    """Per-panel Gauss-Legendre integrals of values(u-array) over each panel."""
+    u, hw = _gauss_panels(edges, order)
+    return (values(u.ravel()).reshape(u.shape) * hw).sum(axis=1)
+
+
+def _segment_pi_knots(sg: SmoothedGrowth, m: int) -> np.ndarray:
+    j0, u = _segment(sg, m)
+    return u[(j0 + np.arange(u.size)) % 2 == 0]
+
+
+def _cos_block(sg: SmoothedGrowth, cap: float, m: int):
+    """The panels of [0, x] that end at a pi-knot of segment m, with cos(phi).
+
+    (right edges, Gauss nodes u, cos(phi(u)), half-width * weight), one
+    row per panel: the panels between the pi-knot before the segment and
+    each pi-knot in it, refined to width cap, the first one graded toward
+    0. These are the panels, nodes and factors that panel_contributions
+    lays out for every x past them, so one memo entry serves them all.
+    """
+
+    def build():
+        knots = _segment_pi_knots(sg, m)
+        prev, k = None, m
+        while knots.size and prev is None and _segment(sg, k)[0] > 1 and k > _LATTICE_MIN:
+            k -= 1
+            below = _segment_pi_knots(sg, k)
+            prev = float(below[-1]) if below.size else None
+        if knots.size == 0:
+            edges = knots  # no panel ends in this segment
+        elif prev is None:
+            edges = grade_origin(refine_edges(np.concatenate([[0.0], knots]), cap))
+        else:
+            edges = refine_edges(np.concatenate([[prev], knots]), cap)
+        u, hw = _gauss_panels(edges)
+        cos_phi = np.cos(u.ravel() * sg.W(u.ravel())).reshape(u.shape) if u.size else u
+        return edges[1:], u, cos_phi, hw
+
+    return sg.memo(("cos_block", cap, m), build)
 
 
 def panel_contributions(sg: SmoothedGrowth, x: float,
                         config: Optional[QuadratureConfig] = None) -> np.ndarray:
-    """Scaled per-panel integrals of e^(u-x) cos(phi(u)) over [0, x], ascending in u."""
+    """Scaled per-panel integrals of e^(u-x) cos(phi(u)) over [0, x], ascending in u.
+
+    The panels up to the last pi-knot below x come from the segments'
+    cos blocks, so only e^(u-x) is computed per call there; the panels
+    from that knot to x are laid out for x alone. Each panel's value has
+    the bits a single layout of all of [0, x] would give it.
+    """
     cfg = config or sg.quad_config
     if x < 0:
         raise ValueError("need x >= 0")
     if x == 0.0:
         return np.zeros(0)
-    knots = phase_panels(sg, min(1e-9, x / 2), x).knots if x > 1e-9 else np.zeros(0)
-    edges = grade_origin(refine_edges(np.concatenate([[0.0], knots, [x]]), _width_cap(cfg)))
-    return _panel_quad(edges, lambda u: np.exp(u - x) * np.cos(u * sg.W(u)))
+    cap = _width_cap(cfg)
+    knots = _pi_knots(sg, 0.0, x)
+
+    def integrand(u):
+        return np.exp(u - x) * np.cos(u * sg.W(u))
+
+    if knots.size == 0:
+        return _panel_quad(grade_origin(refine_edges(np.array([0.0, x]), cap)), integrand)
+    last = float(knots[-1])
+    m = max(_LATTICE_MIN, math.ceil(math.log2(last / _LATTICE_BASE)))
+    while _edge(m) < last:
+        m += 1
+    vals = [_panel_quad(refine_edges(np.array([last, x]), cap), integrand)]
+    top = m
+    while True:
+        right, u, cos_phi, hw = _cos_block(sg, cap, m)
+        # the top block stops at the panel ending on `last`
+        n = int(np.searchsorted(right, last, side="right")) if m == top else right.size
+        vals.append(((np.exp(u[:n] - x) * cos_phi[:n]) * hw[:n]).sum(axis=1))
+        if _segment(sg, m)[0] == 1 or m == _LATTICE_MIN:
+            break
+        m -= 1
+    return np.concatenate(vals[::-1])
 
 
 def eval_T_scaled(sg: SmoothedGrowth, x: float,
@@ -161,7 +283,7 @@ def eval_T_main(sg: SmoothedGrowth, x: float) -> float:
 
 def _tau_tail(sg: SmoothedGrowth, y: float) -> float:
     # two integrations by parts of the tail from y; error falls as ~1/(y V^2) per step
-    w0, w1, w2 = (sg.scaled(y, n) for n in range(3))
+    w0, w1, w2 = sg.scaled_orders(y, (0, 1, 2))
     phi, v, v1 = y * w0, w0 + w1, (2.0 * w1 + w2) / y
     return -math.sin(phi) / v + math.cos(phi) * v1 / v**3
 
@@ -178,13 +300,12 @@ class _TauTable:
         self.sg = sg
         self.budget = budget
         y_prev = 0.0
-        y = 2500.0
+        y = _LATTICE_BASE  # lattice edges, so each piece reads whole knot segments
         seg_edges: list = []
         seg_vals: list = []
         prev = None
         while True:
-            lo = max(y_prev, 1e-9)
-            knots = _phase_roots(sg, _phase_targets(sg, lo, y)[1], lo, y)
+            knots = _pi_knots(sg, y_prev, y)
             edges = grade_origin(refine_edges(np.concatenate([[y_prev], knots, [y]]), 3.0))
             seg_edges.append(edges)
             seg_vals.append(_panel_quad(edges, lambda u: np.cos(u * sg.W(u))))
@@ -262,7 +383,7 @@ def direct_F(sg: SmoothedGrowth, s: complex, R_trunc: float,
             f"at or above abs_tol={cfg.abs_tol:.1e}"
         )
     trunc = math.exp(-s.real * R_trunc) / s.real
-    knots = _phase_roots(sg, _phase_targets(sg, 1e-9, R_trunc)[1], 1e-9, R_trunc)
+    knots = _pi_knots(sg, 0.0, R_trunc)
     edges = grade_origin(refine_edges(np.concatenate([[0.0], knots, [R_trunc]]), _width_cap(cfg)))
     vals = _panel_quad(
         edges, lambda u: np.exp((1j * sg.W(u) - s) * u)

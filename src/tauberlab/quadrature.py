@@ -8,7 +8,6 @@ integral that cannot meet it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -80,13 +79,23 @@ def geometric_edges(anchor: float, k_lo: int, k_hi: int, per_octave: int = 1):
 
 
 def refine_edges(edges, max_width: float):
-    """Split panels wider than max_width into equal parts."""
+    """Split panels wider than max_width into equal parts.
+
+    Panel [a, b] in n parts gets the interior edges a + i * ((b - a) / n),
+    i = 1 .. n - 1, and b itself: the points np.linspace(a, b, n + 1)
+    gives, bit for bit, for all panels at once.
+    """
     edges = np.asarray(edges, dtype=float)
-    out = [edges[:1]]
-    for a, b in zip(edges[:-1], edges[1:]):
-        n = max(1, int(math.ceil((b - a) / max_width)))
-        out.append(np.linspace(a, b, n + 1)[1:])
-    return np.concatenate(out)
+    a, b = edges[:-1], edges[1:]
+    n = np.maximum(1, np.ceil((b - a) / max_width)).astype(np.intp)
+    step = (b - a) / n
+    panel = np.repeat(np.arange(n.size), n)
+    # i counts 1 .. n within each panel
+    i = np.arange(1, panel.size + 1) - np.repeat(np.cumsum(n) - n, n)
+    inner = i * step[panel] + a[panel]
+    ends = np.cumsum(n) - 1
+    inner[ends] = b
+    return np.concatenate([edges[:1], inner])
 
 
 def grade_origin(edges, levels: int = 26):

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 CATALOG_KINDS = ("log", "pow", "loglog", "table")
 
@@ -151,7 +150,16 @@ def _find_branch_point(rho_tilde) -> Optional[float]:
     lo, hi = 1e-12, 1e12
     if gap(lo) >= 0 or gap(hi) <= 0:
         return None
-    return brentq(gap, lo, hi, rtol=1e-13)
+    # bisection keeps gap(lo) < 0 < gap(hi): geometric midpoints while the
+    # bracket spans over an octave, then plain ones down to adjacent doubles
+    while True:
+        mid = math.sqrt(lo * hi) if hi > 2.0 * lo else 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo if -gap(lo) <= gap(hi) else hi
+        if gap(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
 
 
 def growth_target(rho: RateFunction) -> GrowthTarget:

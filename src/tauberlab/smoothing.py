@@ -78,27 +78,63 @@ def _cheb_nodes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return nodes
 
 
-def _barycentric(t: np.ndarray, pan: np.ndarray, nodes: np.ndarray,
-                 vals: np.ndarray) -> np.ndarray:
-    """Interpolate at each t from the samples vals[pan] at the points nodes[pan].
+def _bary_rows(d: np.ndarray, samples) -> list:
+    """Barycentric sums for rows of offsets d = t - node, one per sample table.
 
-    Second-kind barycentric formula; a t on a node returns that node's
-    sample. Each row sums on its own, so a value does not depend on the
-    other points of the call, and chunks keep the (len(t), _PROXY_POINTS)
-    temporaries small.
+    A sample table is (rows, points), or (points,) shared by every row. A
+    t on a node makes its row's sums infinite; that row takes the node's
+    sample instead.
     """
-    out = np.empty(t.shape, dtype=vals.dtype)
-    for i in range(0, t.size, 4096):
-        p = pan[i : i + 4096]
-        d = t[i : i + 4096, None] - nodes[p]
-        hit = d == 0.0
-        c = _BARY / np.where(hit, 1.0, d)
-        v = vals[p]
-        part = (c * v).sum(axis=1) / c.sum(axis=1)
-        rows, cols = np.nonzero(hit)
-        part[rows] = v[rows, cols]
-        out[i : i + 4096] = part
-    return out
+    c = _BARY / d
+    den = c.sum(axis=1)
+    parts = [(c * s).sum(axis=1) / den for s in samples]
+    rows = np.flatnonzero(~np.isfinite(den))
+    if rows.size:
+        hit_rows, cols = np.nonzero(d[rows] == 0.0)
+        rows = rows[hit_rows]
+        for part, s in zip(parts, samples):
+            part[rows] = s[rows, cols] if s.ndim == 2 else s[cols]
+    return parts
+
+
+def _barycentric(t: np.ndarray, pan: np.ndarray, nodes: np.ndarray,
+                 *vals: np.ndarray) -> list:
+    """Interpolate at each t from the samples v[pan] at the points nodes[pan].
+
+    One output per sample table v; the tables share the weights, which
+    are the costly part. Second-kind barycentric formula; a t on a node
+    returns that node's sample. Each row sums on its own, so a value does
+    not depend on the other points of the call, and chunks keep the
+    (len(t), _PROXY_POINTS) temporaries small. A panel with many points
+    broadcasts its nodes and samples over them; the points of sparse
+    panels are gathered row by row.
+    """
+    outs = [np.empty(t.shape, dtype=v.dtype) for v in vals]
+    if t.size == 0:
+        return outs
+    order = np.argsort(pan, kind="stable") if np.any(pan[1:] < pan[:-1]) else None
+    if order is not None:
+        t, pan = t[order], pan[order]
+
+    def put(where, parts):
+        where = where if order is None else order[where]
+        for out, part in zip(outs, parts):
+            out[where] = part
+
+    bounds = np.concatenate([[0], np.flatnonzero(pan[1:] != pan[:-1]) + 1, [t.size]])
+    sizes = np.diff(bounds)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for lo, hi in zip(bounds[:-1][sizes >= 512].tolist(), bounds[1:][sizes >= 512].tolist()):
+            k = pan[lo]
+            for i in range(lo, hi, 4096):
+                j = min(i + 4096, hi)
+                put(slice(i, j), _bary_rows(t[i:j, None] - nodes[k], [v[k] for v in vals]))
+        sparse = np.flatnonzero(np.repeat(sizes < 512, sizes))
+        for i in range(0, sparse.size, 4096):
+            q = sparse[i : i + 4096]
+            p = pan[q]
+            put(q, _bary_rows(t[q, None] - nodes[p], [v[p] for v in vals]))
+    return outs
 
 
 def poisson_kernel(x, y):
@@ -106,18 +142,37 @@ def poisson_kernel(x, y):
     return kernel_derivative(0, x, y)
 
 
-def _kernel_n(n: int, x, y):
+def _kernel_orders(orders, x, y):
+    """Yield (n, d^n P / dy^n at (x, y)) for each n in orders, ascending.
+
+    The orders above 0 share w = 1/(x + iy) and its running power, so
+    each costs one multiplication more than the order below it; an order
+    comes out bit for bit the same whichever others are asked with it.
+    Consume each matrix before asking for the next: they are large.
+    """
     # P = -Im w with w = 1/(x + iy) and dw/dy = -i w^2, so
-    # d^n P / dy^n = -n! Im((-i)^n w^(n+1)); (-i)^n only swaps parts and signs
-    if n == 0:
-        return y / (y * y + x * x)
+    # d^n P / dy^n = -n! Im((-i)^n w^(n+1)); (-i)^n only swaps parts and signs.
+    # Each step reuses its operand's storage where it can: a fresh
+    # (points, nodes) matrix per step costs page faults that outweigh the
+    # arithmetic.
+    if 0 in orders:
+        den = y * y + x * x
+        yield 0, (np.divide(y, den, out=den) if isinstance(den, np.ndarray) else y / den)
+        del den
+    top = max(orders)
+    if top < 1:
+        return
     # reciprocal first: |x + iy| spans ~50 orders across the node range
-    w = 1.0 / (x + 1j * y)
-    p = w
-    for _ in range(n):
-        p = p * w
-    part = p.imag if n % 2 == 0 else p.real
-    return (-math.factorial(n) if n % 4 in (0, 3) else math.factorial(n)) * part
+    w = np.empty(np.broadcast_shapes(np.shape(x), np.shape(y)), dtype=complex)
+    w.real, w.imag = x, y  # x + iy, bit for bit, without a mixed-type pass
+    np.divide(1.0, w, out=w)
+    p = w * w
+    for n in range(1, top + 1):
+        if n > 1:
+            p = np.multiply(p, w, out=p) if isinstance(p, np.ndarray) else p * w
+        if n in orders:
+            part = p.imag if n % 2 == 0 else p.real
+            yield n, (-math.factorial(n) if n % 4 in (0, 3) else math.factorial(n)) * part
 
 
 def kernel_derivative(n: int, x, y):
@@ -134,7 +189,7 @@ def kernel_derivative(n: int, x, y):
         raise ValueError("derivative order must be >= 0")
     if np.any(np.asarray(y) <= 0):
         raise ValueError("the Poisson kernel needs y > 0")
-    out = _kernel_n(n, np.asarray(x, dtype=float), y)
+    ((_, out),) = _kernel_orders((n,), np.asarray(x, dtype=float), y)
     return out if out.ndim else float(out)
 
 
@@ -193,14 +248,16 @@ class SmoothedGrowth:
                 self._omega_weights = om * weights
             return self._nodes, self._omega_weights
 
-    def _kernel_sum(self, y: np.ndarray, n: int) -> np.ndarray:
+    def _kernel_sums(self, y: np.ndarray, orders) -> list:
         nodes, ow = self._grid()
-        out = np.empty(y.shape, dtype=float)
+        outs = {n: np.empty(y.shape, dtype=float) for n in orders}
         x = nodes[None, :]
         # chunked: a full (len(y), len(nodes)) kernel matrix can exceed memory
         for i in range(0, y.size, 256):
-            out[i : i + 256] = _kernel_n(n, x, y[i : i + 256, None]) @ ow
-        return out
+            for n, mat in _kernel_orders(orders, x, y[i : i + 256, None]):
+                outs[n][i : i + 256] = mat @ ow
+                del mat  # before the next order's matrix is made
+        return [outs[n] for n in orders]
 
     # -- exact real evaluator --------------------------------------------
 
@@ -210,13 +267,23 @@ class SmoothedGrowth:
         The real twin of kernel_complex: it feeds the proxy panels behind
         W, V, V_prime and phase, and the grid checks of Lemma 2.1.
         """
-        if not (0 <= n <= max(self.n_max, 0)):
-            raise ValueError(f"derivative order {n} outside [0, {self.n_max}]")
+        return self.derivative_orders(y, (n,))[0]
+
+    def derivative_orders(self, y, orders) -> tuple:
+        """(W^(n)(y) for n in orders), each bit for bit what derivative gives.
+
+        The orders share one pass over the nodes, so asking for several at
+        once costs little more than asking for the highest.
+        """
+        orders = tuple(orders)
+        for n in orders:
+            if not (0 <= n <= max(self.n_max, 0)):
+                raise ValueError(f"derivative order {n} outside [0, {self.n_max}]")
         arr = np.atleast_1d(np.asarray(y, dtype=float))
         if np.any(arr <= 0):
             raise ValueError("W derivatives need y > 0")
-        out = self._kernel_sum(arr, n)
-        return out if np.ndim(y) else float(out[0])
+        outs = self._kernel_sums(arr, orders)
+        return tuple(outs) if np.ndim(y) else tuple(float(out[0]) for out in outs)
 
     # -- proxy-served real evaluators ------------------------------------
 
@@ -235,18 +302,31 @@ class SmoothedGrowth:
 
         Panel k spans [k, k + 1] * _PROXY_PANEL in t = log y, for every
         integer k, so one rule covers every y > 0. W, V, V_prime and phase
-        are sums and products of these; callers that need several of them
-        at the same points can ask for each order once.
+        are sums and products of these; callers that need several orders
+        at the same points ask scaled_orders for them in one pass.
         """
+        return self.scaled_orders(y, (n,))[0]
+
+    def scaled_orders(self, y, orders) -> tuple:
+        """(y^n W^(n)(y) for n in orders), each bit for bit what scaled gives."""
         arr = np.atleast_1d(np.asarray(y, dtype=float))
         if not np.all((arr > 0) & np.isfinite(arr)):
             raise ValueError("W needs finite y > 0")  # a panel index needs a finite log y
-        t = np.log(arr)
-        ks, pan = np.unique(np.floor(t / _PROXY_PANEL), return_inverse=True)
+        t = np.log(arr).ravel()
+        k = np.floor(t / _PROXY_PANEL)
+        # the panels present, ascending, and each point's index among them
+        k_lo = k.min()
+        idx = (k - k_lo).astype(np.intp)
+        present = np.bincount(idx) > 0
+        ks = k_lo + np.flatnonzero(present)
+        pan = (np.cumsum(present) - 1)[idx]
         nodes = _cheb_nodes(ks * _PROXY_PANEL, (ks + 1.0) * _PROXY_PANEL)
-        vals = np.stack([self._proxy_panel(n, int(k), row) for k, row in zip(ks, nodes)])
-        out = _barycentric(t.ravel(), pan.ravel(), nodes, vals).reshape(arr.shape)
-        return out if np.ndim(y) else float(out[0])
+        vals = [np.stack([self._proxy_panel(n, int(kk), row) for kk, row in zip(ks, nodes)])
+                for n in orders]
+        outs = _barycentric(t, pan, nodes, *vals)
+        if not np.ndim(y):
+            return tuple(float(out[0]) for out in outs)
+        return tuple(out.reshape(arr.shape) for out in outs)
 
     def W(self, y) -> Union[float, np.ndarray]:
         """W(y) for scalar or array y > 0."""
@@ -254,11 +334,13 @@ class SmoothedGrowth:
 
     def V(self, y) -> Union[float, np.ndarray]:
         """V(y) = W(y) + y W'(y), the phase velocity."""
-        return self.scaled(y, 0) + self.scaled(y, 1)
+        w0, w1 = self.scaled_orders(y, (0, 1))
+        return w0 + w1
 
     def V_prime(self, y) -> Union[float, np.ndarray]:
         """V'(y) = 2 W'(y) + y W''(y)."""
-        return (2.0 * self.scaled(y, 1) + self.scaled(y, 2)) / np.asarray(y, dtype=float)
+        w1, w2 = self.scaled_orders(y, (1, 2))
+        return (2.0 * w1 + w2) / np.asarray(y, dtype=float)
 
     def phase(self, y) -> Union[float, np.ndarray]:
         """phi(y) = y W(y); strictly increasing since phi' = V > 0."""
@@ -322,4 +404,4 @@ class SmoothedGrowth:
         vals = self.kernel_complex(np.exp(nodes).ravel() * rot).reshape(nodes.shape)
         # a radius on an interior edge belongs to the panel on its left
         pan = np.searchsorted(edges[1:-1], t, side="left")
-        return _barycentric(t, pan, nodes, vals)
+        return _barycentric(t, pan, nodes, vals)[0]

@@ -20,16 +20,14 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .contour import ContourPath, cauchy_circle, contour_F, laplace_cos, laplace_dS
 from .oscillatory import (
-    _phase_roots,
-    _phase_targets,
     direct_F,
     eval_T_main,
     eval_T_scaled,
     eval_tau,
+    phase_knots,
     phase_panels,
 )
 from .quadrature import QuadratureConfig
@@ -61,7 +59,6 @@ _OVERLAP_TOL = 1e-6
 _PATH_TOL = 1e-8
 _HOLOMORPHY_TOL = 1e-6
 _RESIDUE_TOL = 1e-4
-_KNOT_RESIDUAL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -184,59 +181,31 @@ def deviation_D(sg: SmoothedGrowth, rho: Callable, x: float,
 # -- half-knot location -------------------------------------------------------
 
 
-def _solve_half_knots(sg: SmoothedGrowth, ks: np.ndarray, lo: float,
-                      hi: float) -> np.ndarray:
-    targets = 0.5 * math.pi + math.pi * ks
-    roots = _phase_roots(sg, targets, lo, hi, root_tol=1e-10)
-    # polish to the absolute residual contract; Newton on a strictly
-    # increasing phase converges from these seeds immediately
-    resid = np.asarray(sg.phase(roots), dtype=float) - targets
-    for _ in range(3):
-        if np.max(np.abs(resid)) <= _KNOT_RESIDUAL:
-            break
-        roots = roots - resid / np.maximum(np.asarray(sg.V(roots), dtype=float), 1e-300)
-        resid = np.asarray(sg.phase(roots), dtype=float) - targets
-    if np.max(np.abs(resid)) > _KNOT_RESIDUAL:
-        raise ValueError(
-            f"half-knot phase residual {np.max(np.abs(resid)):.2e} exceeds "
-            f"{_KNOT_RESIDUAL:.0e} after polishing"
-        )
-    return roots
-
-
 def locate_half_knots(sg: SmoothedGrowth, k_min: int,
                       k_max: int) -> List[Tuple[int, float]]:
     """Solve phase(x) = pi/2 + k*pi for each k in [k_min, k_max].
 
     The phase is strictly increasing from 0, so each positive target has
-    exactly one root; the search window doubles outward until the last
-    target is enclosed. Returns ascending (k, x_k) pairs with the phase
-    residual at most 1e-9. Raises ValueError when a target cannot be
-    bracketed (negative targets have no root at all).
+    exactly one root; the knot table is read out to the first power of
+    two x with phase(x) past the last target. Returns ascending (k, x_k)
+    pairs with the phase residual at most 1e-9. Raises ValueError when a
+    target cannot be bracketed (negative targets have no root at all).
     """
     if k_max < k_min:
         return []
-    ks = np.arange(int(k_min), int(k_max) + 1)
-    t_lo = 0.5 * math.pi + math.pi * ks[0]
-    if t_lo <= 0:
+    if 0.5 * math.pi + math.pi * k_min <= 0:
         raise ValueError(
-            f"phase target for k = {int(ks[0])} is not positive; root not bracketed"
+            f"phase target for k = {int(k_min)} is not positive; root not bracketed"
         )
-    lo = 1.0
-    while float(sg.phase(lo)) >= t_lo and lo > 1e-300:
-        lo *= 0.5
-    hi = max(2.0 * lo, 1.0)
-    t_hi = 0.5 * math.pi + math.pi * ks[-1]
-    for _ in range(200):
-        if float(sg.phase(hi)) > t_hi:
-            break
-        hi *= 2.0
-    else:
-        raise ValueError(
-            f"root for k = {int(ks[-1])} not bracketed within x <= {hi:g}"
-        )
-    roots = _solve_half_knots(sg, ks, lo, hi)
-    return [(int(k), float(x)) for k, x in zip(ks, roots)]
+    t_hi = 0.5 * math.pi + math.pi * k_max
+    x = 1.0
+    while not float(sg.phase(x)) > t_hi:
+        if x > 2.0 ** 200:
+            raise ValueError(f"root for k = {int(k_max)} not bracketed within x <= {x:g}")
+        x *= 2.0
+    j, u = phase_knots(sg, 0.0, x)
+    keep = (j >= 2 * k_min + 1) & (j <= 2 * k_max + 1) & (j % 2 == 1)
+    return [(int(jj) // 2, float(xx)) for jj, xx in zip(j[keep], u[keep])]
 
 
 # -- oscillation witnesses ----------------------------------------------------
@@ -252,15 +221,15 @@ def signs_alternate(witnesses: Sequence[OscillationWitness]) -> bool:
 def _extract_witnesses(sg: SmoothedGrowth, x_range, value: Callable,
                        min_count: int) -> Tuple[List[OscillationWitness], float]:
     x_lo, x_hi = float(x_range[0]), float(x_range[1])
-    if not (0.0 < x_lo < x_hi):
-        raise ValueError("x_range must satisfy 0 < lo < hi")
-    ks, _ = _phase_targets(sg, x_lo, x_hi, offset=0.5 * math.pi)
+    validate_range(x_lo, x_hi, "x_range")
+    j, u = phase_knots(sg, x_lo, x_hi)
+    half = j % 2 == 1
+    ks, roots = j[half] // 2, u[half]
     if ks.size < min_count:
         raise ValueError(
             f"only {ks.size} half-knots in [{x_lo:g}, {x_hi:g}]; "
             f"need at least {min_count}"
         )
-    roots = _solve_half_knots(sg, ks.astype(float), x_lo, x_hi)
     witnesses = []
     for k, xk in zip(ks, roots):
         d = float(value(float(xk)))
@@ -310,6 +279,12 @@ _ORACLE_XS = (10.0, 20.0, 30.0)
 _SCALE_FACTORS = (0.1, 0.25, 0.5, 0.75, 1.0)
 
 
+def validate_range(lo: float, hi: float, name: str) -> None:
+    """Raise ValueError naming `name` unless lo and hi are finite with 0 < lo < hi."""
+    if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo < hi):
+        raise ValueError(f"{name} must be finite with 0 < lo < hi, got ({lo!r}, {hi!r})")
+
+
 def validate_checks(checks: Sequence[str]) -> None:
     """Raise ValueError unless `checks` is a non-empty list of distinct known ids."""
     if not checks:
@@ -343,15 +318,11 @@ class SuiteConfig:
     grid_points: int = 60
 
     def __post_init__(self):
-        lo, hi = self.x_range
-        if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo < hi):
-            raise ValueError(f"x_range must be finite with 0 < lo < hi, got ({lo!r}, {hi!r})")
+        validate_range(*self.x_range, "x_range")
         if self.n_witnesses < 5:
             raise ValueError("n_witnesses must be at least 5")
         validate_checks(self.checks)
-        lo, hi = self.grid_lo, self.grid_hi
-        if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo < hi):
-            raise ValueError(f"grid bounds must be finite with 0 < lo < hi, got ({lo!r}, {hi!r})")
+        validate_range(self.grid_lo, self.grid_hi, "grid bounds")
         if self.grid_points < 2:
             raise ValueError("grid needs at least 2 points")
 
@@ -390,6 +361,13 @@ class _SuiteContext:
         self.grid = np.logspace(math.log10(config.grid_lo),
                                 math.log10(config.grid_hi),
                                 config.grid_points)
+        self._grid_derivatives = None
+
+    def grid_derivatives(self) -> Tuple[np.ndarray, ...]:
+        """W^(n) on the Lemma 2.1 grid for n = 0..6, from one exact pass."""
+        if self._grid_derivatives is None:
+            self._grid_derivatives = self.sg.derivative_orders(self.grid, range(7))
+        return self._grid_derivatives
 
     def grid_echo(self) -> Dict[str, object]:
         c = self.config
@@ -401,7 +379,7 @@ class _SuiteContext:
 
 
 def _check_growth_slope(ctx: _SuiteContext):
-    slope = np.asarray(ctx.sg.derivative(ctx.grid, 1), dtype=float)
+    slope = ctx.grid_derivatives()[1]
     worst = float(slope.min())
     status = "pass" if worst >= -_SLOPE_TOL else "fail"
     return status, {"min_slope": worst, "tolerance": _SLOPE_TOL}, ctx.grid_echo(), []
@@ -409,7 +387,7 @@ def _check_growth_slope(ctx: _SuiteContext):
 
 def _check_growth_scaling(ctx: _SuiteContext):
     y = ctx.grid
-    w = np.asarray(ctx.sg.derivative(y, 0), dtype=float)
+    w = ctx.grid_derivatives()[0]
     worst = -math.inf
     for a in _SCALE_FACTORS:
         gap = a * w - np.asarray(ctx.sg.derivative(a * y, 0), dtype=float)
@@ -422,10 +400,10 @@ def _check_growth_scaling(ctx: _SuiteContext):
 
 def _check_derivative_envelope(ctx: _SuiteContext):
     y = ctx.grid
-    w = np.asarray(ctx.sg.derivative(y, 0), dtype=float)
+    w = ctx.grid_derivatives()[0]
     worst = 0.0
     for n in range(1, 7):
-        dn = np.asarray(ctx.sg.derivative(y, n), dtype=float)
+        dn = ctx.grid_derivatives()[n]
         bound = 2.0 ** (n + 1) * math.factorial(n) * w / y ** n
         worst = max(worst, float(np.max(np.abs(dn) / bound)))
     status = "pass" if worst <= 1.0 + _ENVELOPE_TOL else "fail"
@@ -435,7 +413,7 @@ def _check_derivative_envelope(ctx: _SuiteContext):
 
 def _check_envelope_bracket(ctx: _SuiteContext):
     y = ctx.grid
-    w = np.asarray(ctx.sg.derivative(y, 0), dtype=float)
+    w = ctx.grid_derivatives()[0]
     om = np.asarray(ctx.sg.target.omega(y), dtype=float)
     om_sq = np.asarray(ctx.sg.target.omega(y * y), dtype=float)
     c1 = float(np.min(w / om))
@@ -467,6 +445,11 @@ def _check_main_term_remainder(ctx: _SuiteContext):
     return status, measured, {"x": list(_REMAINDER_XS)}, []
 
 
+def _simpson(y: np.ndarray, h: float) -> float:
+    # uniform composite Simpson rule on an odd number of samples spaced h
+    return float(h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum()))
+
+
 def _check_quadrature_oracle(ctx: _SuiteContext):
     # dense uniform Simpson rule: same integrand, none of the panel machinery
     diffs, ppo = [], []
@@ -477,7 +460,7 @@ def _check_quadrature_oracle(ctx: _SuiteContext):
         w = np.asarray(ctx.sg.W(u[1:]), dtype=float)
         vals[1:] = np.exp(u[1:] - x) * np.cos(u[1:] * w)
         vals[0] = math.exp(-x)  # integrand limit at u = 0: cos(0) = 1
-        ref = float(simpson(vals, x=u))
+        ref = _simpson(vals, x / (n - 1))
         diffs.append(abs(ref - eval_T_scaled(ctx.sg, x, ctx.config.quad_config)))
         ppo.append(n / (float(ctx.sg.phase(x)) / (2.0 * math.pi)))
     status = "pass" if max(diffs) <= _ORACLE_TOL else "fail"

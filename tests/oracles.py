@@ -4,7 +4,10 @@ The package computes W and every integral on fixed Gauss-Legendre panels.
 Most functions here reach the same quantities by a different route,
 adaptive quadrature with an explicit error policy, so tests can check the
 grid tier against an independent reference. `growth_path_F` reaches the
-continued transform along a different contour. Import them as
+continued transform along a different contour. `per_x_knots` solves the
+phase knots of one interval from scratch, the way every consumer did
+before the knot table, and `per_x_T_scaled` and `per_x_direct_F` run the
+package's panel quadrature on those knots. Import them as
 `from oracles import ...`: `tests/` has no `__init__.py`, so pytest puts
 this directory on `sys.path`.
 """
@@ -15,9 +18,11 @@ from typing import Optional
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
+from scipy.optimize import brentq
 
 from tauberlab import GrowthTarget, QuadratureConfig, QuadratureError, kernel_derivative
-from tauberlab.quadrature import DEFAULT_CONFIG, grade_origin, panel_nodes
+from tauberlab.oscillatory import _panel_quad, _width_cap
+from tauberlab.quadrature import DEFAULT_CONFIG, grade_origin, panel_nodes, refine_edges
 
 _HALF_PI = 0.5 * math.pi
 
@@ -141,3 +146,39 @@ def growth_path_F(sg, R0: float, s: complex, R_max: float) -> complex:
     if not np.abs(f[-16:]).max() < 1e-19:
         raise QuadratureError(f"growth path integrand alive at R_max={R_max:g} for s={s}")
     return complex(total + np.sum(f * dz * wr))
+
+
+def per_x_knots(sg, x0: float, x1: float) -> np.ndarray:
+    """Roots of phi(u) = k pi strictly inside (phi(x0), phi(x1)), by brentq.
+
+    Each root is bracketed by the one before it (or x0) and x1, since phi
+    is strictly increasing, and solved to full double precision.
+    """
+    p0 = float(sg.phase(x0)) if x0 > 0 else 0.0
+    p1 = float(sg.phase(x1))
+    ks = np.arange(math.floor(p0 / math.pi) + 1, math.ceil(p1 / math.pi))
+    roots, lo = [], max(x0, 1e-12)
+    for t in math.pi * ks:
+        if not p0 < t < p1:
+            continue
+        lo = brentq(lambda u: float(sg.phase(u)) - t, lo, x1, xtol=1e-300, rtol=1e-15)
+        roots.append(lo)
+    return np.array(roots)
+
+
+def per_x_T_scaled(sg, x: float, config: Optional[QuadratureConfig] = None) -> float:
+    """eval_T_scaled's panel quadrature on the pi-knots of [0, x] solved for this x alone."""
+    knots = per_x_knots(sg, 0.0, x)
+    edges = grade_origin(refine_edges(np.concatenate([[0.0], knots, [x]]),
+                                      _width_cap(config or sg.quad_config)))
+    return math.fsum(_panel_quad(edges, lambda u: np.exp(u - x) * np.cos(u * sg.W(u))))
+
+
+def per_x_direct_F(sg, s: complex, R: float,
+                   config: Optional[QuadratureConfig] = None) -> complex:
+    """direct_F's panel quadrature on the pi-knots of [0, R] solved for this R alone."""
+    knots = per_x_knots(sg, 0.0, R)
+    edges = grade_origin(refine_edges(np.concatenate([[0.0], knots, [R]]),
+                                      _width_cap(config or sg.quad_config)))
+    vals = _panel_quad(edges, lambda u: np.exp((1j * sg.W(u) - s) * u))
+    return complex(math.fsum(vals.real), math.fsum(vals.imag))

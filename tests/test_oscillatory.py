@@ -1,9 +1,13 @@
 import math
+import sys
+import threading
+from collections import Counter
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from oracles import per_x_direct_F, per_x_T_scaled
 from tauberlab import (
     GrowthTarget,
     PhasePartition,
@@ -19,6 +23,9 @@ from tauberlab import (
     panel_contributions,
     phase_panels,
 )
+from tauberlab.oscillatory import KNOT_RESIDUAL, _panel_quad, phase_knots
+from tauberlab.quadrature import grade_origin, refine_edges
+from tauberlab.suite import _ORACLE_XS, _REMAINDER_XS
 
 CFG8 = QuadratureConfig(abs_tol=1e-8)
 
@@ -72,6 +79,106 @@ def test_phase_panels_rejects_bad_interval(log_sg):
 def test_phase_partition_is_plain_data():
     part = PhasePartition(x0=1.0, x1=2.0, knots=np.array([1.5]))
     assert part.root_tol == 1e-10
+
+
+# -- the knot table ------------------------------------------------------------
+
+
+def _counting_builds(sg):
+    # count memo builds per key on this handle, across threads
+    builds, lock = Counter(), threading.Lock()
+    original = sg.memo
+
+    def memo(key, build):
+        def counted():
+            with lock:
+                builds[key] += 1
+            return build()
+
+        return original(key, counted)
+
+    sg.memo = memo
+    return builds
+
+
+def _segments(builds):
+    return sorted(k[1] for k in builds if k[0] == "phase_knots")
+
+
+def test_knots_are_every_half_pi_crossing(log_sg):
+    j, u = phase_knots(log_sg, 0.0, 60.0)
+    assert j[0] == 1 and np.array_equal(j, np.arange(1, j.size + 1))
+    assert np.all(np.diff(u) > 0) and 0.0 < u[0] and u[-1] < 60.0
+    assert np.max(np.abs(log_sg.phase(u) - j * (0.5 * math.pi))) <= KNOT_RESIDUAL
+    assert float(log_sg.phase(60.0)) < (j[-1] + 1) * 0.5 * math.pi
+
+
+def test_knot_window_is_a_slice_of_the_table(log_sg):
+    j, u = phase_knots(log_sg, 0.0, 60.0)
+    jw, uw = phase_knots(log_sg, 10.0, 20.0)
+    keep = (u > 10.0) & (u < 20.0)
+    assert np.array_equal(jw, j[keep]) and np.array_equal(uw, u[keep])
+
+
+@pytest.mark.parametrize("x", sorted(set(_REMAINDER_XS + _ORACLE_XS)))
+def test_T_scaled_matches_per_x_oracle(log_sg, x):
+    assert abs(eval_T_scaled(log_sg, x) - per_x_T_scaled(log_sg, x)) <= 1e-13
+
+
+def test_direct_F_matches_per_x_oracle(log_sg):
+    for re in (1.0, 2.0, 3.0):
+        for im in (0.0, 1.0, -1.0, 5.0, -5.0):
+            s = complex(re, im)
+            got = direct_F(log_sg, s, 42.0 / re, CFG8)
+            assert abs(got - per_x_direct_F(log_sg, s, 42.0 / re, CFG8)) <= 1e-13
+
+
+def test_query_solves_nothing_past_the_lattice_edge_above_x(log_target):
+    # R = 42 lies below the lattice edge 2500 / 32 = 78.125
+    sg = SmoothedGrowth(log_target)
+    builds = _counting_builds(sg)
+    direct_F(sg, 1.0 + 0.0j, 42.0, CFG8)
+    segs = _segments(builds)
+    assert math.ldexp(2500.0, segs[-1]) == 78.125
+    assert segs == list(range(segs[0], segs[-1] + 1))
+    # the bottom segment is the first whose lower edge has phi < pi/2
+    assert float(sg.phase(math.ldexp(2500.0, segs[0] - 1))) < 0.5 * math.pi
+
+
+def _snapshot(sg):
+    j, u = phase_knots(sg, 0.0, 60.0)
+    t = [eval_T_scaled(sg, x) for x in (12.5, 33.0, 60.0)]
+    tau = [eval_tau(sg, x, CFG8) for x in (12.5, 33.0)]
+    return j, u, t, tau
+
+
+def test_knot_bits_do_not_depend_on_query_order_or_threads(log_target):
+    ref = _snapshot(SmoothedGrowth(log_target))
+    warmed = SmoothedGrowth(log_target)
+    eval_tau(warmed, 4000.0, CFG8)  # fills the table out to 5000 first
+    raced = SmoothedGrowth(log_target)
+    builds = _counting_builds(raced)
+    barrier = threading.Barrier(2)
+
+    def read():
+        barrier.wait(timeout=30)
+        phase_knots(raced, 0.0, 60.0)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read) for _ in range(2)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert _segments(builds) and all(builds[("phase_knots", m)] == 1 for m in _segments(builds))
+    for got in (_snapshot(warmed), _snapshot(raced)):
+        assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+        assert got[2] == ref[2] and got[3] == ref[3]
 
 
 # -- eval_T_scaled -------------------------------------------------------------
@@ -266,6 +373,17 @@ def test_refinement_convergence(log_sg):
         a = eval_T_scaled(log_sg, x, coarse)
         b = eval_T_scaled(log_sg, x, fine)
         assert abs(a - b) < 1e-10
+
+
+def test_panels_match_one_layout_of_0_x_bit_for_bit(log_target):
+    # the cached knot panels give each panel the bits that laying out all
+    # of [0, x] at once gives it, whichever x asked first
+    sg = SmoothedGrowth(log_target)
+    for x in (150.0, 0.3, 7.0, 39.0625, 41.0, 2600.0):
+        j, u = phase_knots(sg, 0.0, x)
+        edges = grade_origin(refine_edges(np.concatenate([[0.0], u[j % 2 == 0], [x]]), 1.2))
+        want = _panel_quad(edges, lambda v: np.exp(v - x) * np.cos(v * sg.W(v)))
+        assert np.array_equal(panel_contributions(sg, x), want), x
 
 
 def test_panel_sum_order_independent(log_sg):

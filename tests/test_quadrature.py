@@ -73,3 +73,13 @@ def test_refine_edges_caps_width():
     e = refine_edges([0.0, 1.0, 4.0], max_width=1.0)
     assert np.all(np.diff(e) <= 1.0 + 1e-15)
     assert e[0] == 0.0 and e[-1] == 4.0
+
+
+def test_refine_edges_is_linspace_per_panel_bit_for_bit():
+    rng = np.random.default_rng(3)
+    edges = np.concatenate([[0.0], np.cumsum(rng.exponential(2.0, 300))])
+    for width in (0.37, 1.2, 3.0):
+        want = [edges[:1]]
+        for a, b in zip(edges[:-1], edges[1:]):
+            want.append(np.linspace(a, b, max(1, math.ceil((b - a) / width)) + 1)[1:])
+        assert np.array_equal(refine_edges(edges, width), np.concatenate(want)), width

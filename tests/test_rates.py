@@ -139,6 +139,22 @@ def test_branch_point_solves_crossover():
     assert math.sqrt(1.1 * bp) > math.log(math.e + math.sqrt(1.1 * bp))
 
 
+@pytest.mark.parametrize("rho", [
+    catalog("log"), catalog("pow", alpha=0.5), catalog("pow", alpha=0.25), catalog("loglog"),
+    RateFunction(kind="table", table=((0.0, 1.0), (1.0, 0.8), (10.0, 0.4), (1e4, 0.05))),
+], ids=["log", "pow0.5", "pow0.25", "loglog", "table"])
+def test_branch_point_bisection_matches_brentq(rho):
+    from scipy.optimize import brentq
+
+    rho_tilde = sup_envelope(rho)
+
+    def gap(u):
+        return math.sqrt(u) - 1.0 / float(rho_tilde(math.sqrt(u)))
+
+    want = brentq(gap, 1e-12, 1e12, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
+    assert growth_target(rho).branch_point == pytest.approx(want, rel=1e-13)
+
+
 def test_load_table(tmp_path):
     p = tmp_path / "rate.csv"
     p.write_text("x,rho\n1.0,0.5\n2.0,0.8\n3.0,0.3\n")

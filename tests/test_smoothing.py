@@ -310,6 +310,40 @@ def test_real_proxy_rejects_y_without_a_panel(log_sg, bad):
         log_sg.W(np.array([1.0, bad]))
 
 
+def _on_node(t: float) -> float:
+    # a y whose log is exactly t, so the proxy lands on one of its nodes
+    y = math.exp(t)
+    while np.log(y) != t:
+        y = math.nextafter(y, math.inf if np.log(y) < t else 0.0)
+    return y
+
+
+def test_real_proxy_bits_do_not_depend_on_the_batch(log_sg):
+    # a crowded panel (its nodes broadcast), scattered points (gathered row
+    # by row), unsorted input and points on panel edges: every point keeps
+    # the bits it gets alone, and several orders asked at once keep theirs
+    rng = np.random.default_rng(11)
+    crowded = np.exp(rng.uniform(1.0, 1.5, 1500))
+    on_nodes = np.array([_on_node(1.0), _on_node(1.5), _on_node(-2.0)])
+    y = rng.permutation(np.concatenate([crowded, _PROXY_Y[:300], on_nodes]))
+    w0, w1, w2 = log_sg.scaled_orders(y, (0, 1, 2))
+    assert np.all(np.isfinite(w0) & np.isfinite(w1) & np.isfinite(w2))
+    for n, w in ((0, w0), (1, w1), (2, w2)):
+        assert np.array_equal(log_sg.scaled(y, n), w), n
+    picks = np.concatenate([np.arange(0, y.size, 41), np.flatnonzero(np.isin(y, on_nodes))])
+    for i in picks:
+        assert log_sg.scaled_orders(float(y[i]), (0, 1, 2)) == (w0[i], w1[i], w2[i]), y[i]
+
+
+def test_exact_orders_share_one_pass_bit_for_bit(log_sg):
+    y = np.logspace(-3, 6, 300)  # more points than one chunk of the node sum
+    orders = (6, 0, 3, 1)
+    for n, got in zip(orders, log_sg.derivative_orders(y, orders)):
+        assert np.array_equal(got, log_sg.derivative(y, n)), n
+    assert log_sg.derivative_orders(2.5, (2, 0)) == (log_sg.derivative(2.5, 2),
+                                                     log_sg.derivative(2.5, 0))
+
+
 def test_real_proxy_scalar_matches_array(log_sg):
     y = np.logspace(-3, 5, 97)
     for f in (log_sg.W, log_sg.V, log_sg.V_prime, log_sg.phase):

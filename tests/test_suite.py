@@ -42,6 +42,19 @@ def combined_quadrature(sg, x, n=50001):
     return float(simpson(vals, x=u))
 
 
+def test_numpy_simpson_matches_scipy(log_sg):
+    # the cross-check's own Simpson rule against scipy's, on its oracle grid
+    from tauberlab.suite import _ORACLE_XS, _simpson
+
+    for x in _ORACLE_XS:
+        n = 40001
+        u = np.linspace(0.0, x, n)
+        vals = np.empty(n)
+        vals[1:] = np.exp(u[1:] - x) * np.cos(u[1:] * log_sg.W(u[1:]))
+        vals[0] = math.exp(-x)
+        assert _simpson(vals, x / (n - 1)) == pytest.approx(float(simpson(vals, x=u)), abs=1e-14)
+
+
 def measured_remainder_constant(sg):
     return max(
         abs(eval_T_scaled(sg, x, CFG8) - eval_T_main(sg, x)) * float(sg.V(x)) ** 2
