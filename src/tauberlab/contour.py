@@ -14,14 +14,18 @@ are cached on the evaluator, at most six rays per (R0, R_max), so a sweep
 over many s values costs a few exps and dot products each.
 
 A ray fills i z W(z) at its ~65k nodes from the evaluator's Chebyshev
-proxy in log r (SmoothedGrowth.kernel_complex_ray): ~450 exact kernel
-sums per ray instead of one per node. The ray at angle theta keeps a
+proxy in log r (SmoothedGrowth.kernel_complex_ray), whose panels lie on a
+lattice in log r that every ray at that angle shares: 16 panels of 28
+exact kernel sums per angle out to R_max = 2000, for the anchors at 1 and
+2 alike, instead of one sum per node. The ray at angle theta keeps a
 strip of half-width pi/2 - theta in log r clear of the kernel's poles,
 so the proxy converges geometrically (Trefethen, Approximation Theory and
 Approximation Practice, SIAM 2013, ch. 8) and matches the exact sum to
-~4e-15 relative. The arcs stay on the exact sum, kernel_complex, which
-also remains the reference the proxy is tested against; the stem reads
-the real-axis W, which its own proxy in log u serves.
+~4e-15 relative. The arcs read a proxy in arg z
+(SmoothedGrowth.kernel_complex_arc), three panels per anchor; the exact
+sum, kernel_complex, remains the reference both proxies are tested
+against. The stem reads the real-axis W, which its own proxy in log u
+serves.
 """
 
 from __future__ import annotations
@@ -49,6 +53,8 @@ _TRUNC_LOG = math.log(1e-19)
 # the tightest advertised bent-path tolerance (1e-9) can absorb
 _HUMP_LIMIT = 15.0
 _HUMP_BASE_TOL = 1e-9
+# nodes per block of a ray's pick bounds (_RayBlocks)
+_BLOCK = 256
 # ray angles, shallow to steep: e^{-sz} decays along a shallow ray when Re s > 0;
 # a steep one buys the phase decay e^{-Im(zW(z))} that must beat it when Re s <= 0
 _RAY_ANGLES = (0.05, 0.3, 0.6, 0.9, 1.15, MAX_COMPLEX_ARG)
@@ -74,18 +80,73 @@ class _PieceCache:
 
     n_dense counts the leading nodes whose panels resolve every
     oscillation scale in use; truncation may not land beyond them
-    unless the integrand is already dead.
+    unless the integrand is already dead. A ray also carries its
+    _RayBlocks.
     """
 
-    __slots__ = ("z", "w", "g0", "r", "n_dense")
+    __slots__ = ("z", "w", "g0", "r", "n_dense", "blocks")
 
     def __init__(self, z: np.ndarray, w: np.ndarray, g0: np.ndarray,
-                 r: np.ndarray, n_dense: Optional[int] = None):
+                 r: np.ndarray, n_dense: Optional[int] = None,
+                 blocks: Optional["_RayBlocks"] = None):
         self.z = z
         self.w = w
         self.g0 = g0
         self.r = r
         self.n_dense = len(r) if n_dense is None else n_dense
+        self.blocks = blocks
+
+
+class _RayBlocks:
+    """Upper bounds on a ray's log|integrand| Re(g0) - r c, block by block.
+
+    Blocks hold _BLOCK consecutive nodes, and one starts at node
+    n_dense - 1, where the dead-tail test of _pick_angle begins. Against a
+    reference line of slope m (the block's chord) Re(g0) - r c equals
+    (Re(g0) - m r) + (m - c) r: the first part's block maximum is stored,
+    and the second is linear in r, so its maximum sits at an end. The sum
+    plus a margin for the rounding of either side bounds every computed
+    node value of the block from above; a block whose bound stays under a
+    threshold need not be computed to decide it.
+    """
+
+    __slots__ = ("a", "r", "start", "end", "slope", "dev", "scale", "r_first", "r_last",
+                 "tail")
+
+    def __init__(self, a: np.ndarray, r: np.ndarray, n_dense: int):
+        head = np.arange(0, n_dense - 1, _BLOCK)
+        self.start = np.concatenate([head, np.arange(n_dense - 1, r.size, _BLOCK)])
+        self.end = np.append(self.start[1:], r.size)
+        self.a, self.r = a, r
+        first, last = self.start, self.end - 1
+        self.r_first, self.r_last = r[first], r[last]
+        span = self.r_last - self.r_first
+        self.slope = np.divide(a[last] - a[first], span, out=np.zeros(span.shape), where=span > 0)
+        self.dev = np.maximum.reduceat(a - np.repeat(self.slope, self.end - first) * r, first)
+        self.scale = np.maximum.reduceat(np.abs(a), first) + np.abs(self.slope) * self.r_last
+        self.tail = head.size  # index of the first block of the tail test
+
+    def bounds(self, c: float) -> np.ndarray:
+        lin = self.slope - c
+        # each operation behind a node value, the stored maximum or this sum
+        # rounds by at most 2^-53 of scale + |c| r_last, and there are fewer
+        # than ten of them on the way; the margin allows for ninety
+        return (self.dev + np.maximum(lin * self.r_first, lin * self.r_last)
+                + 1e-14 * (self.scale + abs(c) * self.r_last))
+
+    def values(self, j: int, c: float) -> np.ndarray:
+        # block j's log|integrand|, bit for bit what the whole ray gives
+        i, k = self.start[j], self.end[j]
+        return self.a[i:k] - self.r[i:k] * c
+
+    def peak(self, blocks, c: float) -> float:
+        return max((float(self.values(j, c).max()) for j in blocks), default=-math.inf)
+
+    def tail_alive(self, ub: np.ndarray, c: float) -> bool:
+        """Whether a node from n_dense - 1 on computes at or above _TRUNC_LOG."""
+        js = self.tail + np.flatnonzero(ub[self.tail:] >= _TRUNC_LOG)
+        # highest bound first: a live block is likeliest there
+        return any(self.values(j, c).max() >= _TRUNC_LOG for j in js[np.argsort(-ub[js])])
 
 
 def _stem_cache(sg: SmoothedGrowth, R0: float) -> _PieceCache:
@@ -106,7 +167,7 @@ def _arc_cache(sg: SmoothedGrowth, R0: float, span: float) -> _PieceCache:
         edges = grade_origin(np.linspace(0.0, span, 9), levels=30)
         t, w = panel_nodes(edges, 16)
         z = R0 * np.exp(1j * t)
-        g0 = 1j * z * sg.kernel_complex(z)
+        g0 = 1j * z * sg.kernel_complex_arc(R0, t)
         return _PieceCache(z, w * (1j * z), g0, np.full(t.shape, R0))
 
     return sg.memo(("contour_arc", R0, span), build)
@@ -136,7 +197,7 @@ def _ray_cache(sg: SmoothedGrowth, path: ContourPath, angle: float) -> _PieceCac
         z = r * dz
         g0 = 1j * z * sg.kernel_complex_ray(r, angle)
         n_dense = int(np.searchsorted(r, dense_top, side="right"))
-        return _PieceCache(z, w * dz, g0, r, n_dense)
+        return _PieceCache(z, w * dz, g0, r, n_dense, _RayBlocks(g0.real, r, n_dense))
 
     return sg.memo(key, build)
 
@@ -186,22 +247,32 @@ def _pick_angle(sg: SmoothedGrowth, path: ContourPath, s: complex) -> tuple:
     stays under _TRUNC_LOG, that is one node past the last node at or above
     it; the cut lies in the dense panels, since the integrand is already
     under the floor from the last dense node on.
+
+    The decisions read _RayBlocks bounds and compute only the blocks a
+    bound cannot settle, so peak, skip and stop are the full scan's bits.
     """
     best = None
     for angle in _RAY_ANGLES:
-        ray = _ray_cache(sg, path, angle)
-        g = ray.g0.real - ray.r * (s * complex(math.cos(angle), math.sin(angle))).real
-        peak = g.max()
-        if g[ray.n_dense - 1:].max() < _TRUNC_LOG and (best is None or peak < best[0]):
-            best = (peak, angle, g)
+        blocks = _ray_cache(sg, path, angle).blocks
+        c = (s * complex(math.cos(angle), math.sin(angle))).real
+        ub = blocks.bounds(c)
+        peak = blocks.peak([int(np.argmax(ub))], c)
+        if best is not None and peak >= best[0]:
+            continue  # loses to best whatever the other blocks hold
+        peak = blocks.peak(np.flatnonzero(ub >= peak), c)
+        if not blocks.tail_alive(ub, c) and (best is None or peak < best[0]):
+            best = (peak, angle, blocks, c, ub)
     if best is None:
         raise QuadratureError(
             f"no ray decays below tolerance within the dense panels of "
             f"R_max={path.R_max:g} for s={s}"
         )
-    _, angle, g = best
-    alive = np.flatnonzero(g >= _TRUNC_LOG)
-    return angle, int(alive[-1]) + 2 if alive.size else 1
+    _, angle, blocks, c, ub = best
+    for j in np.flatnonzero(ub >= _TRUNC_LOG)[::-1]:
+        alive = np.flatnonzero(blocks.values(j, c) >= _TRUNC_LOG)
+        if alive.size:
+            return angle, int(blocks.start[j] + alive[-1]) + 2
+    return angle, 1
 
 
 def contour_F(sg: SmoothedGrowth, path: ContourPath, s: complex) -> complex:

@@ -64,7 +64,6 @@ class PhasePartition:
     x0: float
     x1: float
     knots: np.ndarray
-    root_tol: float = 1e-10
 
     def edges(self) -> np.ndarray:
         """Panel edges: interval ends plus interior knots."""

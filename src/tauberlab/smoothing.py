@@ -19,27 +19,32 @@ independent oracle this grid is checked against.
 Each side has an exact tier and a proxy tier. The exact tier is the full
 node sum per point: `derivative` on the real axis, `kernel_complex` off
 it. They feed the proxies, the Lemma 2.1 grid checks and the tests. The
-proxy tier interpolates the exact tier on Chebyshev panels in a log
-variable:
+proxy tier interpolates the exact tier on a lattice of Chebyshev panels
+in a log or angle variable t: panel k spans [k, k + 1] times a fixed
+width, for every integer k, and is filled once, on first use, from one
+exact call of fixed shape, so no value depends on which query came first.
 
 - `scaled` serves y^n W^(n)(y), n <= 2, and `W`, `V`, `V_prime` and
-  `phase` are built from it. It reads a lattice of panels of fixed width
-  in t = log y, one panel per integer multiple of the width, each filled
-  once, on first use, from one exact call of fixed shape. The kernel's
+  `phase` are built from it, on a lattice in t = log y. The kernel's
   poles in y sit at +-i x_j, which t = log y maps to the lines
   Im t = +-pi/2, and y^n d^n/dy^n keeps that strip, so y^n W^(n)(e^t) is
   analytic in |Im t| < pi/2.
 - `kernel_complex_ray` serves contour rays, which need W at ~65k radii
-  per angle. On a ray of angle theta, t = log r maps the poles (the
-  imaginary axis) to the lines |Im t| = pi/2 - theta, so W(e^t e^{i theta})
-  is analytic in that narrower strip.
+  per angle, on a lattice in t = log r per angle, which every ray at that
+  angle shares whatever its anchor. On a ray of angle theta, t = log r
+  maps the poles (the imaginary axis) to the lines |Im t| = pi/2 - theta,
+  so W(e^t e^{i theta}) is analytic in that narrower strip.
+- `kernel_complex_arc` serves the contour arcs, on three panels in
+  t = arg z each side of 0 per arc radius R0. The poles sit on
+  |Re t| = pi/2, past the argument cap.
 
 Piecewise Chebyshev interpolation in t then converges geometrically in the
 points per panel, at a rate set by the Bernstein ellipse that fits in the
 strip (Trefethen, Approximation Theory and Approximation Practice, SIAM
-2013, ch. 8). The fixed panel width and point count resolve the real axis
-and every ray angle up to MAX_COMPLEX_ARG to the exact sum's own rounding
-(~4e-15 relative). Both proxies share one barycentric evaluator.
+2013, ch. 8). The fixed panel width and point count resolve the real axis,
+every ray angle and every arc up to MAX_COMPLEX_ARG to the exact sum's own
+rounding (~4e-15 relative). The three proxies share one lattice rule and
+one barycentric evaluator.
 """
 
 from __future__ import annotations
@@ -285,17 +290,42 @@ class SmoothedGrowth:
         outs = self._kernel_sums(arr, orders)
         return tuple(outs) if np.ndim(y) else tuple(float(out[0]) for out in outs)
 
+    # -- proxy lattice -----------------------------------------------------
+
+    def _lattice(self, t: np.ndarray, width: float, tables, top=None) -> list:
+        """Interpolate each table at every t from a lattice of Chebyshev panels.
+
+        Panel k spans [k, k + 1] * width in t, for every integer k (up to
+        `top`, whose panel then also takes the points past its right end).
+        A table is a (key, fill) pair: its panel k is the memo entry
+        key + (k,), filled once by fill(nodes) at the panel's
+        _PROXY_POINTS Chebyshev points, so its bits do not depend on who
+        asks first, or on the other points of a call.
+        """
+        k = np.floor(t / width)
+        if top is not None:
+            k = np.minimum(k, top)
+        # the panels present, ascending, and each point's index among them
+        k_lo = k.min()
+        idx = (k - k_lo).astype(np.intp)
+        present = np.bincount(idx) > 0
+        ks = k_lo + np.flatnonzero(present)
+        pan = (np.cumsum(present) - 1)[idx]
+        nodes = _cheb_nodes(ks * width, (ks + 1.0) * width)
+        vals = [np.stack([self.memo(key + (int(kk),), lambda row=row, fill=fill: fill(row))
+                          for kk, row in zip(ks, nodes)])
+                for key, fill in tables]
+        return _barycentric(t, pan, nodes, *vals)
+
     # -- proxy-served real evaluators ------------------------------------
 
-    def _proxy_panel(self, n: int, k: int, nodes: np.ndarray) -> np.ndarray:
-        # y^n W^(n)(y) at the Chebyshev points `nodes` (in log y) of panel k,
-        # from one exact call of fixed shape, so the bits do not depend on
-        # who asks first
-        def build():
+    def _real_table(self, n: int):
+        # y^n W^(n)(y) at Chebyshev points in log y
+        def fill(nodes):
             y = np.exp(nodes)
             return y ** n * self.derivative(y, n)
 
-        return self.memo(("real_proxy", n, k), build)
+        return ("real_proxy", n), fill
 
     def scaled(self, y, n: int) -> Union[float, np.ndarray]:
         """y^n W^(n)(y) for n <= 2, served by the real-axis proxy.
@@ -312,18 +342,8 @@ class SmoothedGrowth:
         arr = np.atleast_1d(np.asarray(y, dtype=float))
         if not np.all((arr > 0) & np.isfinite(arr)):
             raise ValueError("W needs finite y > 0")  # a panel index needs a finite log y
-        t = np.log(arr).ravel()
-        k = np.floor(t / _PROXY_PANEL)
-        # the panels present, ascending, and each point's index among them
-        k_lo = k.min()
-        idx = (k - k_lo).astype(np.intp)
-        present = np.bincount(idx) > 0
-        ks = k_lo + np.flatnonzero(present)
-        pan = (np.cumsum(present) - 1)[idx]
-        nodes = _cheb_nodes(ks * _PROXY_PANEL, (ks + 1.0) * _PROXY_PANEL)
-        vals = [np.stack([self._proxy_panel(n, int(kk), row) for kk, row in zip(ks, nodes)])
-                for n in orders]
-        outs = _barycentric(t, pan, nodes, *vals)
+        outs = self._lattice(np.log(arr).ravel(), _PROXY_PANEL,
+                             [self._real_table(n) for n in orders])
         if not np.ndim(y):
             return tuple(float(out[0]) for out in outs)
         return tuple(out.reshape(arr.shape) for out in outs)
@@ -375,33 +395,55 @@ class SmoothedGrowth:
         Same node sum as the real case with kernel z / (z^2 + x^2); the
         integrand's poles sit on the imaginary axis, so the sum is
         analytic in the open half-plane and this grid resolves it up to
-        the documented argument cap.
+        the documented argument cap. It runs in real arithmetic, over
+        chunks of 256 points.
         """
         arr = np.atleast_1d(np.asarray(z, dtype=complex))
         if np.any(arr.real <= 0) or np.any(np.abs(np.angle(arr)) > MAX_COMPLEX_ARG):
             raise ValueError("complex evaluation needs |arg z| <= "
                              f"{MAX_COMPLEX_ARG} in the right half-plane")
         nodes, ow = self._grid()
-        out = np.empty(arr.shape, dtype=complex)
-        x = nodes[None, :]
-        for i in range(0, arr.size, 1024):
-            zz = arr[i : i + 1024, None]
-            out[i : i + 1024] = (zz / (zz * zz + x * x)) @ ow
-        return out if np.ndim(z) else complex(out[0])
+        a, b = arr.real.ravel(), arr.imag.ravel()
+        # z = a + ib and d = z^2 + x^2, whose imaginary part 2ab is one per
+        # row: z/d = z conj(d)/|d|^2, so the sum takes two real products,
+        # s1 = sum ow Re d/|d|^2 and s2 = sum ow/|d|^2
+        re0, im_d = a * a - b * b, 2.0 * a * b
+        s1, s2 = np.empty(a.shape), np.empty(a.shape)
+        x2 = nodes * nodes
+        for i in range(0, a.size, 256):
+            re_d = re0[i : i + 256, None] + x2
+            inv = re_d * re_d
+            inv += (im_d[i : i + 256] ** 2)[:, None]
+            np.divide(1.0, inv, out=inv)
+            s2[i : i + 256] = inv @ ow
+            re_d *= inv
+            s1[i : i + 256] = re_d @ ow
+            del re_d, inv  # before the next chunk's matrices are made
+        out = np.empty(a.shape, dtype=complex)
+        out.real = a * s1 + b * im_d * s2
+        out.imag = b * s1 - a * im_d * s2
+        return out.reshape(arr.shape) if np.ndim(z) else complex(out[0])
 
     def kernel_complex_ray(self, r: np.ndarray, angle: float) -> np.ndarray:
-        """W(r e^{i angle}) at ascending radii r > 0, by a Chebyshev proxy.
+        """W(r e^{i angle}) at radii r > 0, by a Chebyshev proxy in log r.
 
-        kernel_complex runs only at _PROXY_POINTS Chebyshev points on each
-        panel of width <= _PROXY_PANEL in log r covering [r[0], r[-1]];
-        every r is then filled by barycentric interpolation in log r.
+        Reads the lattice of panels [k, k + 1] * _PROXY_PANEL in log r
+        that every ray at this angle shares, whatever its ends.
         """
-        t = np.log(np.asarray(r, dtype=float))
-        n_pan = max(1, math.ceil((t[-1] - t[0]) / _PROXY_PANEL))
-        edges = np.linspace(t[0], t[-1], n_pan + 1)
-        nodes = _cheb_nodes(edges[:-1], edges[1:])
         rot = complex(math.cos(angle), math.sin(angle))
-        vals = self.kernel_complex(np.exp(nodes).ravel() * rot).reshape(nodes.shape)
-        # a radius on an interior edge belongs to the panel on its left
-        pan = np.searchsorted(edges[1:-1], t, side="left")
-        return _barycentric(t, pan, nodes, vals)[0]
+        table = (("ray_proxy", angle), lambda nodes: self.kernel_complex(np.exp(nodes) * rot))
+        return self._lattice(np.log(np.asarray(r, dtype=float)), _PROXY_PANEL, [table])[0]
+
+    def kernel_complex_arc(self, R0: float, t: np.ndarray) -> np.ndarray:
+        """W(R0 e^{i t}) for |t| <= MAX_COMPLEX_ARG, by a Chebyshev proxy in t.
+
+        Three panels of width MAX_COMPLEX_ARG / 3 each side of t = 0, one
+        set per R0. The kernel's poles sit at |Re t| = pi/2, 0.28 past the
+        end of the lattice, so the interpolant converges faster than on a
+        ray.
+        """
+        t = np.asarray(t, dtype=float)
+        if np.any(np.abs(t) > MAX_COMPLEX_ARG):
+            raise ValueError(f"arc evaluation needs |t| <= {MAX_COMPLEX_ARG}")
+        table = (("arc_proxy", R0), lambda nodes: self.kernel_complex(R0 * np.exp(1j * nodes)))
+        return self._lattice(t, MAX_COMPLEX_ARG / 3, [table], top=2)[0]

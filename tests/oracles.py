@@ -182,3 +182,43 @@ def per_x_direct_F(sg, s: complex, R: float,
                                       _width_cap(config or sg.quad_config)))
     vals = _panel_quad(edges, lambda u: np.exp((1j * sg.W(u) - s) * u))
     return complex(math.fsum(vals.real), math.fsum(vals.imag))
+
+
+def complex_division_W(sg, z) -> np.ndarray:
+    """W(z) as the node sum of z / (z^2 + x^2) by complex division.
+
+    The form `SmoothedGrowth.kernel_complex` took before it split the
+    sum into two real products; same nodes, same weights.
+    """
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    nodes, ow = sg._grid()
+    out = np.empty(z.shape, dtype=complex)
+    for i in range(0, z.size, 1024):
+        zz = z[i : i + 1024, None]
+        out[i : i + 1024] = (zz / (zz * zz + nodes * nodes)) @ ow
+    return out
+
+
+def full_scan_pick(sg, path, s: complex) -> tuple:
+    """_pick_angle's (angle, stop) by computing every node of every ray.
+
+    The skip, peak and stop rules of `tauberlab.contour._pick_angle`,
+    without its block bounds.
+    """
+    from tauberlab.contour import _RAY_ANGLES, _TRUNC_LOG, _ray_cache
+
+    best = None
+    for angle in _RAY_ANGLES:
+        ray = _ray_cache(sg, path, angle)
+        g = ray.g0.real - ray.r * (s * complex(math.cos(angle), math.sin(angle))).real
+        peak = g.max()
+        if g[ray.n_dense - 1:].max() < _TRUNC_LOG and (best is None or peak < best[0]):
+            best = (peak, angle, g)
+    if best is None:
+        raise QuadratureError(
+            f"no ray decays below tolerance within the dense panels of "
+            f"R_max={path.R_max:g} for s={s}"
+        )
+    _, angle, g = best
+    alive = np.flatnonzero(g >= _TRUNC_LOG)
+    return angle, int(alive[-1]) + 2 if alive.size else 1

@@ -240,6 +240,23 @@ class TestVerify:
         assert main(["verify", "--only", "residue", "--out", str(b)]) == 0
         assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
 
+    def test_artifacts_byte_identical_across_blas_threads(self, tmp_path):
+        # the kernel sums run on BLAS matrix-vector products; one and two
+        # BLAS threads must write the same bytes
+        import tauberlab
+
+        src = os.path.dirname(os.path.dirname(tauberlab.__file__))
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            out = tmp_path / threads
+            for args in (["verify", "--only", "continuation,residue"], ["continue"]):
+                proc = subprocess.run([sys.executable, "-m", "tauberlab", *args, "--out", str(out)],
+                                      capture_output=True, text=True, env=env)
+                assert proc.returncode == 0, proc.stderr
+        for name in ("report.json", "checks.json", "continuation.csv"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
+
     def test_failing_check_exits_one(self, tmp_path, capsys):
         rc = main(["verify", "--only", "witness_s",
                    "--x-range", "10:10.8:5", "--out", str(tmp_path)])

@@ -24,7 +24,7 @@ from tauberlab import (
     laplace_dS,
     laplace_tau,
 )
-from oracles import growth_path_F
+from oracles import full_scan_pick, growth_path_F
 from tauberlab.quadrature import QuadratureError
 import tauberlab.contour as contour_mod
 
@@ -53,6 +53,16 @@ def test_fixed_ray_cache_matches_exact_rebuild(log_sg):
     assert np.max(np.abs(ray.g0[pick] - exact) / np.abs(exact)) <= 1e-13
 
 
+@pytest.mark.parametrize("R0", [1.0, 2.0])
+def test_arc_cache_matches_exact_sum(log_sg, pow_sg, R0):
+    # every arc node, graded levels included, at each production angle
+    for sg in (log_sg, pow_sg):
+        for ang in contour_mod._RAY_ANGLES:
+            arc = contour_mod._arc_cache(sg, R0, ang)
+            exact = 1j * arc.z * sg.kernel_complex(arc.z)
+            assert np.max(np.abs(arc.g0 - exact) / np.abs(exact)) <= 1e-13, (R0, ang)
+
+
 def _continue_points():
     # every s the default `continue` grid evaluates F at: each point, its
     # conjugate (laplace_cos) and the s - 1 shift of laplace_dS with its conjugate
@@ -79,6 +89,39 @@ def test_ray_truncation_leaves_only_dead_nodes(log_sg, R0):
         assert 1 <= stop <= ray.n_dense, (s, angle)
         assert np.all(g[stop - 1:] < contour_mod._TRUNC_LOG), (s, angle)
         assert stop == 1 or g[stop - 2] >= contour_mod._TRUNC_LOG, (s, angle)
+
+
+# the reach grid of the README: Re s in linspace(-8, 3, 10), Im s in linspace(0, 8, 8)
+_REACH_GRID = [complex(a, b) for a in np.linspace(-8.0, 3.0, 10) for b in np.linspace(0.0, 8.0, 8)]
+
+
+def _pick_or_error(pick, sg, path, s):
+    try:
+        return pick(sg, path, s)
+    except QuadratureError as exc:
+        return f"QuadratureError: {exc}"
+
+
+@pytest.mark.parametrize("R0", [1.0, 2.0])
+@pytest.mark.parametrize("sg_name", ["log_sg", "pow_sg"])
+def test_pick_matches_full_scan(request, sg_name, R0):
+    # the block bounds decide nothing the full scan would decide otherwise:
+    # the same angle, the same stop, the same error
+    sg = request.getfixturevalue(sg_name)
+    path = ContourPath(R0=R0)
+    for s in _continue_points() + _REACH_GRID:
+        got = _pick_or_error(contour_mod._pick_angle, sg, path, s)
+        assert got == _pick_or_error(full_scan_pick, sg, path, s), s
+
+
+def test_block_bounds_hold_every_node(log_sg):
+    # no computed node value of a block exceeds the block's bound
+    c_values = np.r_[0.0, -0.0, np.linspace(-12.0, 12.0, 41), 1e-9, -1e-9]
+    for ang in contour_mod._RAY_ANGLES:
+        blocks = contour_mod._ray_cache(log_sg, ContourPath(), ang).blocks
+        for c in c_values:
+            g = blocks.a - blocks.r * c
+            assert np.all(np.maximum.reduceat(g, blocks.start) <= blocks.bounds(c)), (ang, c)
 
 
 class TestDecayBound:

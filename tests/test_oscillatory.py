@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import threading
@@ -78,7 +79,8 @@ def test_phase_panels_rejects_bad_interval(log_sg):
 
 def test_phase_partition_is_plain_data():
     part = PhasePartition(x0=1.0, x1=2.0, knots=np.array([1.5]))
-    assert part.root_tol == 1e-10
+    assert [f.name for f in dataclasses.fields(part)] == ["x0", "x1", "knots"]
+    assert np.array_equal(part.edges(), [1.0, 1.5, 2.0])
 
 
 # -- the knot table ------------------------------------------------------------

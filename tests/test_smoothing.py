@@ -7,10 +7,18 @@ import time
 import numpy as np
 import pytest
 
-from tauberlab import GrowthTarget, SmoothedGrowth, kernel_derivative, poisson_kernel
-from oracles import integrate_complex, smooth, smooth_derivative
+from tauberlab import (
+    GrowthTarget,
+    SmoothedGrowth,
+    catalog,
+    growth_target,
+    kernel_derivative,
+    poisson_kernel,
+)
+from oracles import complex_division_W, integrate_complex, smooth, smooth_derivative
 from tauberlab.contour import _RAY_ANGLES, _ray_edges
 from tauberlab.quadrature import panel_nodes
+from tauberlab.smoothing import MAX_COMPLEX_ARG, _PROXY_PANEL, _PROXY_POINTS, _cheb_nodes
 
 SQRT_W_CONST = math.pi / math.sqrt(2.0)  # W(y) = (pi/sqrt 2) sqrt(y) for omega = sqrt
 
@@ -200,7 +208,27 @@ def test_kernel_complex_argument_cap(log_sg):
         log_sg.kernel_complex(cmath.exp(1.4j))
 
 
-# -- ray proxy --------------------------------------------------------------
+def _catalog_sg(name):
+    rate = {"log": catalog("log"), "pow0.5": catalog("pow", alpha=0.5),
+            "pow0.25": catalog("pow", alpha=0.25), "loglog": catalog("loglog")}[name]
+    return SmoothedGrowth(growth_target(rate))
+
+
+@pytest.mark.parametrize("name", ["log", "pow0.5", "pow0.25", "loglog"])
+def test_kernel_complex_matches_complex_division(name):
+    # the two real products against the complex quotient they replace, for
+    # |z| in [1e-3, 1e4] and |arg z| up to the cap, ends included
+    sg = _catalog_sg(name)
+    rng = np.random.default_rng(17)
+    mod = np.r_[1e-3, 1e4, 1e-3, 1e4, np.exp(rng.uniform(math.log(1e-3), math.log(1e4), 600))]
+    arg = np.r_[MAX_COMPLEX_ARG, -MAX_COMPLEX_ARG, 0.0, 0.0,
+                rng.uniform(-MAX_COMPLEX_ARG, MAX_COMPLEX_ARG, 600)]
+    z = mod * np.exp(1j * arg)
+    got, want = sg.kernel_complex(z), complex_division_W(sg, z)
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
+
+
+# -- ray and arc proxies -----------------------------------------------------
 
 
 @pytest.mark.parametrize("R0", [1.0, 2.0])
@@ -216,22 +244,120 @@ def test_ray_proxy_matches_exact_sum(request, sg_name, R0):
         assert np.max(np.abs(proxy - exact) / np.abs(exact)) <= 1e-13, ang
 
 
+@pytest.mark.parametrize("R0", [0.5, 1.0, 2.0, 7.3])
+@pytest.mark.parametrize("sg_name", ["log_sg", "pow_sg"])
+def test_arc_proxy_matches_exact_sum(request, sg_name, R0):
+    sg = request.getfixturevalue(sg_name)
+    # both signs up to the cap, and the graded nodes an arc crowds near t = 0
+    t = np.r_[np.linspace(-MAX_COMPLEX_ARG, MAX_COMPLEX_ARG, 301), 1.2 * 0.5 ** np.arange(40)]
+    exact = sg.kernel_complex(R0 * np.exp(1j * t))
+    proxy = sg.kernel_complex_arc(R0, t)
+    assert np.max(np.abs(proxy - exact) / np.abs(exact)) <= 1e-13
+
+
+def test_arc_proxy_rejects_angles_past_the_cap(log_sg):
+    with pytest.raises(ValueError, match="arc evaluation needs"):
+        log_sg.kernel_complex_arc(1.0, np.array([0.1, 1.3]))
+
+
 class _ProbeGrowth(SmoothedGrowth):
     # elementwise stand-in for the kernel sum, so samples are exact
     def kernel_complex(self, z):
         return 1.0 / (1.0 + np.asarray(z))
 
 
+def _on_node(t: float) -> float:
+    # a y whose log is exactly t, so the proxy lands on one of its nodes
+    y = math.exp(t)
+    while np.log(y) != t:
+        y = math.nextafter(y, math.inf if np.log(y) < t else 0.0)
+    return y
+
+
 def test_ray_proxy_returns_sample_at_node():
+    # the lattice contract: a radius whose log r is a node of panel k =
+    # floor(log r / _PROXY_PANEL) gets that node's sample, whatever else the
+    # call holds; the other radii interpolate
     sg = _ProbeGrowth(GrowthTarget(rho_tilde=None, omega=np.sqrt))
     ang = 0.6
-    r = np.array([1.0, 1.2, 1.5])  # one panel: both ends are Chebyshev points
+    rot = complex(math.cos(ang), math.sin(ang))
+    nodes = _cheb_nodes(np.array([2.0]) * _PROXY_PANEL, np.array([3.0]) * _PROXY_PANEL)[0]
+    on = np.array([_on_node(t) for t in nodes[[0, 5, 17]]])
+    r = np.r_[on, 3.0, 0.9, 55.0]
     out = sg.kernel_complex_ray(r, ang)
     assert np.all(np.isfinite(out))
-    rot = complex(math.cos(ang), math.sin(ang))
-    ends = sg.kernel_complex(np.exp(np.log(r[[0, -1]])) * rot)
-    assert out[0] == ends[0] and out[-1] == ends[1]
-    assert out[1] == pytest.approx(1.0 / (1.0 + 1.2 * rot), rel=1e-14)
+    assert np.array_equal(out[:3], sg.kernel_complex(np.exp(nodes[[0, 5, 17]]) * rot))
+    assert out[3:] == pytest.approx(1.0 / (1.0 + r[3:] * rot), rel=1e-14)
+
+
+class _CountingComplex(SmoothedGrowth):
+    def __init__(self, target):
+        super().__init__(target)
+        self.exact_calls = []
+
+    def kernel_complex(self, z):
+        self.exact_calls.append(np.size(z))
+        return super().kernel_complex(z)
+
+
+def _ray_radii(R0):
+    r, _ = panel_nodes(_ray_edges(R0, 2000.0)[0], 16)
+    return r[::53]
+
+
+def test_ray_and_arc_panels_do_not_depend_on_history(log_target):
+    # a fresh handle against one warmed through the other anchor (and, for
+    # the arcs, the other spans) first; every panel is filled once, by one
+    # exact call of fixed shape
+    t2 = np.linspace(0.0, _RAY_ANGLES[2], 97)
+    fresh = SmoothedGrowth(log_target)
+    ray_ref = {ang: fresh.kernel_complex_ray(_ray_radii(2.0), ang) for ang in _RAY_ANGLES}
+    arc_ref = fresh.kernel_complex_arc(2.0, t2)
+    warm = _CountingComplex(log_target)
+    for ang in _RAY_ANGLES:
+        warm.kernel_complex_ray(_ray_radii(1.0), ang)
+    for span in _RAY_ANGLES:
+        warm.kernel_complex_arc(1.0, np.linspace(0.0, span, 50))
+        warm.kernel_complex_arc(2.0, np.linspace(0.0, span, 50))
+    built = len(warm.exact_calls)
+    for ang in _RAY_ANGLES:
+        assert np.array_equal(warm.kernel_complex_ray(_ray_radii(2.0), ang), ray_ref[ang]), ang
+    assert np.array_equal(warm.kernel_complex_arc(2.0, t2), arc_ref)
+    # log r in [0, log 2000] holds 16 panels, [log 2, log 2000] is inside it,
+    # and each anchor has three arc panels on [0, cap]
+    assert built == 6 * 16 + 2 * 3
+    assert warm.exact_calls == [_PROXY_POINTS] * built
+
+
+@pytest.mark.parametrize("piece", ["ray", "arc"])
+def test_complex_panel_race_builds_once(log_target, piece):
+    # two threads ask for one panel nobody has built; one exact call fills it
+    if piece == "ray":
+        ask = lambda sg: sg.kernel_complex_ray(np.array([3.1, 3.2]), _RAY_ANGLES[-1])
+    else:
+        ask = lambda sg: sg.kernel_complex_arc(1.0, np.array([0.5, 0.6]))
+    ref = ask(SmoothedGrowth(log_target))
+    sg = _CountingComplex(log_target)
+    start = threading.Barrier(2)
+    out = [None, None]
+
+    def worker(i):
+        start.wait()
+        out[i] = ask(sg)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sg.exact_calls == [_PROXY_POINTS]
+    assert np.array_equal(out[0], ref) and np.array_equal(out[1], ref)
 
 
 # -- real-axis proxy ----------------------------------------------------------
@@ -308,14 +434,6 @@ def test_real_proxy_serves_every_y(log_sg):
 def test_real_proxy_rejects_y_without_a_panel(log_sg, bad):
     with pytest.raises(ValueError, match="finite y > 0"):
         log_sg.W(np.array([1.0, bad]))
-
-
-def _on_node(t: float) -> float:
-    # a y whose log is exactly t, so the proxy lands on one of its nodes
-    y = math.exp(t)
-    while np.log(y) != t:
-        y = math.nextafter(y, math.inf if np.log(y) < t else 0.0)
-    return y
 
 
 def test_real_proxy_bits_do_not_depend_on_the_batch(log_sg):

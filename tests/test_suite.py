@@ -9,15 +9,20 @@ from scipy.integrate import simpson
 
 from tauberlab import (
     DEFAULT_CHECKS,
+    ContourPath,
     OscillationWitness,
     QuadratureConfig,
+    QuadratureError,
+    SmoothedGrowth,
     SuiteConfig,
     catalog,
+    contour_F,
     deviation_D,
     eval_S_scaled,
     eval_T_main,
     eval_T_scaled,
     eval_tau,
+    growth_target,
     locate_half_knots,
     omega_pm_witnesses,
     phase_panels,
@@ -388,6 +393,25 @@ class TestContinuationLimits:
             assert rec.status == "fail", name
             assert rec.error.startswith("QuadratureError: "), rec.error
             assert reason in rec.error and s in rec.error, rec.error
+
+
+    @pytest.mark.parametrize("rate, reached", [
+        (catalog("log"), 45),
+        (catalog("pow", alpha=0.5), 50),
+    ], ids=["log", "pow0.5"])
+    def test_reach_counts(self, rate, reached):
+        # the README's reach row: the points of the 80-point grid (Re s in
+        # linspace(-8, 3, 10), Im s in linspace(0, 8, 8)) where contour_F returns
+        sg = SmoothedGrowth(growth_target(rate))
+        count = 0
+        for a in np.linspace(-8.0, 3.0, 10):
+            for b in np.linspace(0.0, 8.0, 8):
+                try:
+                    contour_F(sg, ContourPath(), complex(a, b))
+                except QuadratureError:
+                    continue
+                count += 1
+        assert count == reached
 
 
 def test_public_names_resolve():
