@@ -10,18 +10,19 @@ Bending into the region where the phase factor decays is the idea of
 numerical steepest descent (Huybrechs and Vandewalle, SIAM J. Numer.
 Anal. 44, 2006), cut down here to one shape: a ray at one of six fixed
 angles, the one with the lowest integrand hump for the given s. Node sets
-are cached on the evaluator, at most six rays per (R0, R_max), so a sweep
-over many s values costs a few exps and dot products each.
+are cached on the evaluator, six rays per (R0, R_max) built together, so
+a sweep over many s values costs a few exps and dot products each.
 
 A ray fills i z W(z) at its ~65k nodes from the evaluator's Chebyshev
 proxy in log r (SmoothedGrowth.kernel_complex_ray), whose panels lie on a
 lattice in log r that every ray at that angle shares: 16 panels of 28
 exact kernel sums per angle out to R_max = 2000, for the anchors at 1 and
-2 alike, instead of one sum per node. The ray at angle theta keeps a
-strip of half-width pi/2 - theta in log r clear of the kernel's poles,
-so the proxy converges geometrically (Trefethen, Approximation Theory and
-Approximation Practice, SIAM 2013, ch. 8) and matches the exact sum to
-~4e-15 relative. The arcs read a proxy in arg z
+2 alike, instead of one sum per node. The six rays of an anchor share
+their radii, so one call interpolates all six on shared weights. The ray
+at angle theta keeps a strip of half-width pi/2 - theta in log r clear of
+the kernel's poles, so the proxy converges geometrically (Trefethen,
+Approximation Theory and Approximation Practice, SIAM 2013, ch. 8) and
+matches the exact sum to ~4e-15 relative. The arcs read a proxy in arg z
 (SmoothedGrowth.kernel_complex_arc), three panels per anchor; the exact
 sum, kernel_complex, remains the reference both proxies are tested
 against. The stem reads the real-axis W, which its own proxy in log u
@@ -187,19 +188,24 @@ def _ray_edges(R0: float, R_max: float) -> tuple:
     return all_edges, dense_top
 
 
-def _ray_cache(sg: SmoothedGrowth, path: ContourPath, angle: float) -> _PieceCache:
-    key = ("contour_ray", round(angle, 6), path.R0, path.R_max)
+def _rays(sg: SmoothedGrowth, path: ContourPath) -> dict:
+    """{angle: _PieceCache} for every angle in _RAY_ANGLES, built together.
 
+    The six rays share their radii, so one proxy call serves them all.
+    """
     def build():
         edges, dense_top = _ray_edges(path.R0, path.R_max)
         r, w = panel_nodes(edges, 16)
-        dz = complex(math.cos(angle), math.sin(angle))
-        z = r * dz
-        g0 = 1j * z * sg.kernel_complex_ray(r, angle)
         n_dense = int(np.searchsorted(r, dense_top, side="right"))
-        return _PieceCache(z, w * dz, g0, r, n_dense, _RayBlocks(g0.real, r, n_dense))
+        rays = {}
+        for angle, W in zip(_RAY_ANGLES, sg.kernel_complex_ray(r, _RAY_ANGLES)):
+            dz = complex(math.cos(angle), math.sin(angle))
+            z = r * dz
+            g0 = 1j * z * W
+            rays[angle] = _PieceCache(z, w * dz, g0, r, n_dense, _RayBlocks(g0.real, r, n_dense))
+        return rays
 
-    return sg.memo(key, build)
+    return sg.memo(("contour_ray", path.R0, path.R_max), build)
 
 
 def _hump_limit(config: QuadratureConfig) -> float:
@@ -233,7 +239,7 @@ def _bent_eval(sg: SmoothedGrowth, path: ContourPath, s: complex,
     return (
         _sum_piece(stem, s, limit)
         + _sum_piece(_arc_cache(sg, path.R0, angle), s, limit)
-        + _sum_piece(_ray_cache(sg, path, angle), s, limit, stop)
+        + _sum_piece(_rays(sg, path)[angle], s, limit, stop)
     )
 
 
@@ -252,8 +258,9 @@ def _pick_angle(sg: SmoothedGrowth, path: ContourPath, s: complex) -> tuple:
     bound cannot settle, so peak, skip and stop are the full scan's bits.
     """
     best = None
+    rays = _rays(sg, path)
     for angle in _RAY_ANGLES:
-        blocks = _ray_cache(sg, path, angle).blocks
+        blocks = rays[angle].blocks
         c = (s * complex(math.cos(angle), math.sin(angle))).real
         ub = blocks.bounds(c)
         peak = blocks.peak([int(np.argmax(ub))], c)

@@ -30,10 +30,12 @@ exact call of fixed shape, so no value depends on which query came first.
   Im t = +-pi/2, and y^n d^n/dy^n keeps that strip, so y^n W^(n)(e^t) is
   analytic in |Im t| < pi/2.
 - `kernel_complex_ray` serves contour rays, which need W at ~65k radii
-  per angle, on a lattice in t = log r per angle, which every ray at that
-  angle shares whatever its anchor. On a ray of angle theta, t = log r
-  maps the poles (the imaginary axis) to the lines |Im t| = pi/2 - theta,
-  so W(e^t e^{i theta}) is analytic in that narrower strip.
+  at each of six angles, on a lattice in t = log r per angle, which every
+  ray at that angle shares whatever its anchor. One call serves every
+  angle at the same radii, and the angles share the interpolation
+  weights. On a ray of angle theta, t = log r maps the poles (the
+  imaginary axis) to the lines |Im t| = pi/2 - theta, so
+  W(e^t e^{i theta}) is analytic in that narrower strip.
 - `kernel_complex_arc` serves the contour arcs, on three panels in
   t = arg z each side of 0 per arc radius R0. The poles sit on
   |Re t| = pi/2, past the argument cap.
@@ -44,7 +46,8 @@ strip (Trefethen, Approximation Theory and Approximation Practice, SIAM
 2013, ch. 8). The fixed panel width and point count resolve the real axis,
 every ray angle and every arc up to MAX_COMPLEX_ARG to the exact sum's own
 rounding (~4e-15 relative). The three proxies share one lattice rule and
-one barycentric evaluator.
+one barycentric evaluator, `_barycentric`: the tables of a call share its
+weights, and each row sums as its own dot product, without BLAS.
 """
 
 from __future__ import annotations
@@ -84,15 +87,17 @@ def _cheb_nodes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 def _bary_rows(d: np.ndarray, samples) -> list:
-    """Barycentric sums for rows of offsets d = t - node, one per sample table.
+    """Barycentric sums for rows of offsets d = t - node, one per real sample table.
 
-    A sample table is (rows, points), or (points,) shared by every row. A
-    t on a node makes its row's sums infinite; that row takes the node's
-    sample instead.
+    A sample table is (rows, points), or (points,) shared by every row.
+    Each row's sum is its own dot product (einsum, not a BLAS product),
+    so its bits do not depend on the other rows. A t on a node makes its
+    row's sums infinite; that row takes the node's sample instead.
     """
     c = _BARY / d
     den = c.sum(axis=1)
-    parts = [(c * s).sum(axis=1) / den for s in samples]
+    parts = [np.einsum("ij,ij->i" if s.ndim == 2 else "ij,j->i", c, s, optimize=False) / den
+             for s in samples]
     rows = np.flatnonzero(~np.isfinite(den))
     if rows.size:
         hit_rows, cols = np.nonzero(d[rows] == 0.0)
@@ -106,25 +111,34 @@ def _barycentric(t: np.ndarray, pan: np.ndarray, nodes: np.ndarray,
                  *vals: np.ndarray) -> list:
     """Interpolate at each t from the samples v[pan] at the points nodes[pan].
 
-    One output per sample table v; the tables share the weights, which
-    are the costly part. Second-kind barycentric formula; a t on a node
-    returns that node's sample. Each row sums on its own, so a value does
-    not depend on the other points of the call, and chunks keep the
-    (len(t), _PROXY_POINTS) temporaries small. A panel with many points
-    broadcasts its nodes and samples over them; the points of sparse
-    panels are gathered row by row.
+    One output per sample table v; the tables share the weights and the
+    denominator, which are the costly part, and a complex table is summed
+    as its real and imaginary parts. Second-kind barycentric formula; a t
+    on a node returns that node's sample. Each row sums on its own, so a
+    value does not depend on the other points of the call, and chunks keep
+    the (len(t), _PROXY_POINTS) temporaries small. A panel with many
+    points broadcasts its nodes and samples over them; the points of
+    sparse panels are gathered row by row.
     """
     outs = [np.empty(t.shape, dtype=v.dtype) for v in vals]
     if t.size == 0:
         return outs
+
+    def split(a):  # real tables, and the output views they fill
+        return (a.real, a.imag) if a.dtype.kind == "c" else (a,)
+
+    # einsum sums a strided operand in another order than a contiguous
+    # one, so both paths below must read contiguous tables
+    vals = [np.ascontiguousarray(p) for v in vals for p in split(v)]
+    views = [p for out in outs for p in split(out)]
     order = np.argsort(pan, kind="stable") if np.any(pan[1:] < pan[:-1]) else None
     if order is not None:
         t, pan = t[order], pan[order]
 
     def put(where, parts):
         where = where if order is None else order[where]
-        for out, part in zip(outs, parts):
-            out[where] = part
+        for view, part in zip(views, parts):
+            view[where] = part
 
     bounds = np.concatenate([[0], np.flatnonzero(pan[1:] != pan[:-1]) + 1, [t.size]])
     sizes = np.diff(bounds)
@@ -270,7 +284,11 @@ class SmoothedGrowth:
         """W^(n)(y) by the exact node sum; n = 0 gives W itself.
 
         The real twin of kernel_complex: it feeds the proxy panels behind
-        W, V, V_prime and phase, and the grid checks of Lemma 2.1.
+        W, V, V_prime and phase, and the grid checks of Lemma 2.1. A
+        value's bits can depend on the batch it is asked in (the BLAS
+        matrix-vector product need not sum every row position alike), so
+        each proxy panel is filled by one call of fixed shape,
+        _PROXY_POINTS points.
         """
         return self.derivative_orders(y, (n,))[0]
 
@@ -278,7 +296,8 @@ class SmoothedGrowth:
         """(W^(n)(y) for n in orders), each bit for bit what derivative gives.
 
         The orders share one pass over the nodes, so asking for several at
-        once costs little more than asking for the highest.
+        once costs little more than asking for the highest. As with
+        derivative, a value's bits can depend on the batch it is asked in.
         """
         orders = tuple(orders)
         for n in orders:
@@ -396,7 +415,11 @@ class SmoothedGrowth:
         integrand's poles sit on the imaginary axis, so the sum is
         analytic in the open half-plane and this grid resolves it up to
         the documented argument cap. It runs in real arithmetic, over
-        chunks of 256 points.
+        chunks of 8 points, whose temporaries the allocator reuses instead
+        of faulting in fresh pages. A value's bits can depend on the batch
+        it is asked in (the BLAS matrix-vector product need not sum every
+        row position alike), so each proxy panel is filled by one call of
+        fixed shape, _PROXY_POINTS points.
         """
         arr = np.atleast_1d(np.asarray(z, dtype=complex))
         if np.any(arr.real <= 0) or np.any(np.abs(np.angle(arr)) > MAX_COMPLEX_ARG):
@@ -410,29 +433,35 @@ class SmoothedGrowth:
         re0, im_d = a * a - b * b, 2.0 * a * b
         s1, s2 = np.empty(a.shape), np.empty(a.shape)
         x2 = nodes * nodes
-        for i in range(0, a.size, 256):
-            re_d = re0[i : i + 256, None] + x2
+        for i in range(0, a.size, 8):
+            re_d = re0[i : i + 8, None] + x2
             inv = re_d * re_d
-            inv += (im_d[i : i + 256] ** 2)[:, None]
+            inv += (im_d[i : i + 8] ** 2)[:, None]
             np.divide(1.0, inv, out=inv)
-            s2[i : i + 256] = inv @ ow
+            s2[i : i + 8] = inv @ ow
             re_d *= inv
-            s1[i : i + 256] = re_d @ ow
+            s1[i : i + 8] = re_d @ ow
             del re_d, inv  # before the next chunk's matrices are made
         out = np.empty(a.shape, dtype=complex)
         out.real = a * s1 + b * im_d * s2
         out.imag = b * s1 - a * im_d * s2
         return out.reshape(arr.shape) if np.ndim(z) else complex(out[0])
 
-    def kernel_complex_ray(self, r: np.ndarray, angle: float) -> np.ndarray:
-        """W(r e^{i angle}) at radii r > 0, by a Chebyshev proxy in log r.
+    def kernel_complex_ray(self, r: np.ndarray, angles) -> list:
+        """W(r e^{i theta}) at radii r > 0, one array per theta in angles.
 
-        Reads the lattice of panels [k, k + 1] * _PROXY_PANEL in log r
-        that every ray at this angle shares, whatever its ends.
+        Served by a Chebyshev proxy in log r: per angle, the lattice of
+        panels [k, k + 1] * _PROXY_PANEL that every ray at that angle
+        shares, whatever its ends. The angles share the interpolation
+        weights, and each angle's values are bit for bit what a call with
+        that angle alone gives.
         """
-        rot = complex(math.cos(angle), math.sin(angle))
-        table = (("ray_proxy", angle), lambda nodes: self.kernel_complex(np.exp(nodes) * rot))
-        return self._lattice(np.log(np.asarray(r, dtype=float)), _PROXY_PANEL, [table])[0]
+        def table(angle):
+            rot = complex(math.cos(angle), math.sin(angle))
+            return ("ray_proxy", angle), lambda nodes: self.kernel_complex(np.exp(nodes) * rot)
+
+        return self._lattice(np.log(np.asarray(r, dtype=float)), _PROXY_PANEL,
+                             [table(angle) for angle in angles])
 
     def kernel_complex_arc(self, R0: float, t: np.ndarray) -> np.ndarray:
         """W(R0 e^{i t}) for |t| <= MAX_COMPLEX_ARG, by a Chebyshev proxy in t.

@@ -205,11 +205,12 @@ def full_scan_pick(sg, path, s: complex) -> tuple:
     The skip, peak and stop rules of `tauberlab.contour._pick_angle`,
     without its block bounds.
     """
-    from tauberlab.contour import _RAY_ANGLES, _TRUNC_LOG, _ray_cache
+    from tauberlab.contour import _RAY_ANGLES, _TRUNC_LOG, _rays
 
     best = None
+    rays = _rays(sg, path)
     for angle in _RAY_ANGLES:
-        ray = _ray_cache(sg, path, angle)
+        ray = rays[angle]
         g = ray.g0.real - ray.r * (s * complex(math.cos(angle), math.sin(angle))).real
         peak = g.max()
         if g[ray.n_dense - 1:].max() < _TRUNC_LOG and (best is None or peak < best[0]):

@@ -7,6 +7,8 @@ where no direct evaluation exists.
 """
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -46,7 +48,7 @@ def _direct(sg, s):
 
 def test_fixed_ray_cache_matches_exact_rebuild(log_sg):
     # the steepest production angle, where the proxy's strip is narrowest
-    ray = contour_mod._ray_cache(log_sg, ContourPath(), contour_mod._RAY_ANGLES[-1])
+    ray = contour_mod._rays(log_sg, ContourPath())[contour_mod._RAY_ANGLES[-1]]
     pick = np.unique(np.r_[np.arange(0, ray.z.size, 37), ray.z.size - 1])
     z = ray.z[pick]
     exact = 1j * z * log_sg.kernel_complex(z)
@@ -84,7 +86,7 @@ def test_ray_truncation_leaves_only_dead_nodes(log_sg, R0):
     path = ContourPath(R0=R0)
     for s in _continue_points():
         angle, stop = contour_mod._pick_angle(log_sg, path, s)
-        ray = contour_mod._ray_cache(log_sg, path, angle)
+        ray = contour_mod._rays(log_sg, path)[angle]
         g = (ray.g0 - s * ray.z).real
         assert 1 <= stop <= ray.n_dense, (s, angle)
         assert np.all(g[stop - 1:] < contour_mod._TRUNC_LOG), (s, angle)
@@ -118,10 +120,48 @@ def test_block_bounds_hold_every_node(log_sg):
     # no computed node value of a block exceeds the block's bound
     c_values = np.r_[0.0, -0.0, np.linspace(-12.0, 12.0, 41), 1e-9, -1e-9]
     for ang in contour_mod._RAY_ANGLES:
-        blocks = contour_mod._ray_cache(log_sg, ContourPath(), ang).blocks
+        blocks = contour_mod._rays(log_sg, ContourPath())[ang].blocks
         for c in c_values:
             g = blocks.a - blocks.r * c
             assert np.all(np.maximum.reduceat(g, blocks.start) <= blocks.bounds(c)), (ang, c)
+
+
+class _CountingRays(SmoothedGrowth):
+    def __init__(self, target):
+        super().__init__(target)
+        self.ray_calls = 0
+
+    def kernel_complex_ray(self, r, angles):
+        self.ray_calls += 1
+        return super().kernel_complex_ray(r, angles)
+
+
+def test_ray_build_race_builds_once(log_target):
+    # two threads ask for one anchor's rays nobody has built: one build
+    # fills all six angles, and both threads get its rays
+    sg = _CountingRays(log_target)
+    path = ContourPath(R_max=50.0)
+    start = threading.Barrier(2)
+    out = [None, None]
+
+    def worker(i):
+        start.wait()
+        out[i] = contour_mod._rays(sg, path)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sg.ray_calls == 1
+    assert out[0] is out[1]
+    assert tuple(out[0]) == contour_mod._RAY_ANGLES
 
 
 class TestDecayBound:

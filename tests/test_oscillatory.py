@@ -24,7 +24,7 @@ from tauberlab import (
     panel_contributions,
     phase_panels,
 )
-from tauberlab.oscillatory import KNOT_RESIDUAL, _panel_quad, phase_knots
+from tauberlab.oscillatory import KNOT_RESIDUAL, _TauTable, _panel_quad, phase_knots
 from tauberlab.quadrature import grade_origin, refine_edges
 from tauberlab.suite import _ORACLE_XS, _REMAINDER_XS
 
@@ -316,6 +316,27 @@ def test_tau_cap_error_names_slow_growth():
     cfg = QuadratureConfig(abs_tol=1e-12, tail_cutoff=4000.0)
     with pytest.raises(QuadratureError, match="grows too slowly"):
         eval_tau(sg, 1.0, cfg)
+
+
+class TestTauRangeLimits:
+    """The README's tau limits on the log rate, pinned so a change shows.
+
+    The tail estimate carries ~5e-11 of rounding noise, so a budget below
+    it never stabilizes within the default cap; a larger cap carries the
+    knot table past u ~ 1e5, where KNOT_RESIDUAL (1e-9 absolute) is below
+    what the phase's rounding allows. eval_tau floors its budget at 1e-10,
+    right at that noise, and the suite certifies tau at abs_tol 1e-8.
+    """
+
+    def test_budget_below_the_noise_misses_the_cap(self, log_target):
+        with pytest.raises(QuadratureError, match=r"tau tail not stable to 1\.0e-11 "
+                                                  r"within truncation cap 100000"):
+            _TauTable(SmoothedGrowth(log_target), 1e-11, 1e5)
+
+    def test_larger_cap_misses_a_phase_knot(self, log_target):
+        with pytest.raises(QuadratureError, match=r"phase knot phi = \d+ pi/2 missed by \S+ "
+                                                  r"\(limit 1e-09\) in \[80000, 160000\]"):
+            _TauTable(SmoothedGrowth(log_target), 1e-11, 1e6)
 
 
 # -- direct_F ------------------------------------------------------------------

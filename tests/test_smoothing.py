@@ -238,8 +238,8 @@ def test_ray_proxy_matches_exact_sum(request, sg_name, R0):
     r, _ = panel_nodes(_ray_edges(R0, 2000.0)[0], 16)
     # every 37th node plus both ends: the exact sum on all ~65k is slow
     pick = np.unique(np.r_[np.arange(0, r.size, 37), r.size - 1])
-    for ang in _RAY_ANGLES:
-        proxy = sg.kernel_complex_ray(r, ang)[pick]
+    for ang, proxy in zip(_RAY_ANGLES, sg.kernel_complex_ray(r, _RAY_ANGLES)):
+        proxy = proxy[pick]
         exact = sg.kernel_complex(r[pick] * cmath.exp(1j * ang))
         assert np.max(np.abs(proxy - exact) / np.abs(exact)) <= 1e-13, ang
 
@@ -284,7 +284,7 @@ def test_ray_proxy_returns_sample_at_node():
     nodes = _cheb_nodes(np.array([2.0]) * _PROXY_PANEL, np.array([3.0]) * _PROXY_PANEL)[0]
     on = np.array([_on_node(t) for t in nodes[[0, 5, 17]]])
     r = np.r_[on, 3.0, 0.9, 55.0]
-    out = sg.kernel_complex_ray(r, ang)
+    (out,) = sg.kernel_complex_ray(r, [ang])
     assert np.all(np.isfinite(out))
     assert np.array_equal(out[:3], sg.kernel_complex(np.exp(nodes[[0, 5, 17]]) * rot))
     assert out[3:] == pytest.approx(1.0 / (1.0 + r[3:] * rot), rel=1e-14)
@@ -311,17 +311,17 @@ def test_ray_and_arc_panels_do_not_depend_on_history(log_target):
     # exact call of fixed shape
     t2 = np.linspace(0.0, _RAY_ANGLES[2], 97)
     fresh = SmoothedGrowth(log_target)
-    ray_ref = {ang: fresh.kernel_complex_ray(_ray_radii(2.0), ang) for ang in _RAY_ANGLES}
+    ray_ref = fresh.kernel_complex_ray(_ray_radii(2.0), _RAY_ANGLES)
     arc_ref = fresh.kernel_complex_arc(2.0, t2)
     warm = _CountingComplex(log_target)
-    for ang in _RAY_ANGLES:
-        warm.kernel_complex_ray(_ray_radii(1.0), ang)
+    warm.kernel_complex_ray(_ray_radii(1.0), _RAY_ANGLES)
     for span in _RAY_ANGLES:
         warm.kernel_complex_arc(1.0, np.linspace(0.0, span, 50))
         warm.kernel_complex_arc(2.0, np.linspace(0.0, span, 50))
     built = len(warm.exact_calls)
-    for ang in _RAY_ANGLES:
-        assert np.array_equal(warm.kernel_complex_ray(_ray_radii(2.0), ang), ray_ref[ang]), ang
+    for ang, got, ref in zip(_RAY_ANGLES, warm.kernel_complex_ray(_ray_radii(2.0), _RAY_ANGLES),
+                             ray_ref):
+        assert np.array_equal(got, ref), ang
     assert np.array_equal(warm.kernel_complex_arc(2.0, t2), arc_ref)
     # log r in [0, log 2000] holds 16 panels, [log 2, log 2000] is inside it,
     # and each anchor has three arc panels on [0, cap]
@@ -333,7 +333,7 @@ def test_ray_and_arc_panels_do_not_depend_on_history(log_target):
 def test_complex_panel_race_builds_once(log_target, piece):
     # two threads ask for one panel nobody has built; one exact call fills it
     if piece == "ray":
-        ask = lambda sg: sg.kernel_complex_ray(np.array([3.1, 3.2]), _RAY_ANGLES[-1])
+        ask = lambda sg: sg.kernel_complex_ray(np.array([3.1, 3.2]), _RAY_ANGLES[-1:])[0]
     else:
         ask = lambda sg: sg.kernel_complex_arc(1.0, np.array([0.5, 0.6]))
     ref = ask(SmoothedGrowth(log_target))
@@ -358,6 +358,35 @@ def test_complex_panel_race_builds_once(log_target, piece):
     assert not any(t.is_alive() for t in threads)
     assert sg.exact_calls == [_PROXY_POINTS]
     assert np.array_equal(out[0], ref) and np.array_equal(out[1], ref)
+
+
+def test_ray_proxy_angles_give_what_each_angle_alone_gives(log_sg):
+    # the angles of one call share weights and denominators, nothing else
+    r, _ = panel_nodes(_ray_edges(1.0, 2000.0)[0], 16)
+    together = log_sg.kernel_complex_ray(r, _RAY_ANGLES)
+    for ang, got in zip(_RAY_ANGLES, together):
+        assert np.array_equal(got, log_sg.kernel_complex_ray(r, [ang])[0]), ang
+
+
+def test_ray_proxy_radius_alone_matches_full_ray(log_sg):
+    # a radius asked alone is gathered as the one point of a sparse panel;
+    # inside the full ray it sits in a broadcast panel (>= 512 points) or a
+    # gathered one, and in a broadcast panel on either side of a 4,096-row
+    # chunk edge. Its bits must not move.
+    r, _ = panel_nodes(_ray_edges(1.0, 2000.0)[0], 16)
+    assert r.size == 64880
+    k = np.floor(np.log(r) / _PROXY_PANEL)
+    starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
+    sizes = np.diff(np.r_[starts, r.size])
+    assert np.any(sizes < 512) and np.any(sizes > 4096)
+    pick = np.r_[starts, starts + sizes - 1]  # both ends of every panel
+    for lo in starts[sizes > 4096]:
+        pick = np.r_[pick, lo + 4095, lo + 4096]
+    full = log_sg.kernel_complex_ray(r, _RAY_ANGLES)
+    for i in np.unique(pick):
+        alone = log_sg.kernel_complex_ray(r[i : i + 1], _RAY_ANGLES)
+        for ang, f, a in zip(_RAY_ANGLES, full, alone):
+            assert np.array_equal(f[i : i + 1], a), (i, ang)
 
 
 # -- real-axis proxy ----------------------------------------------------------

@@ -30,6 +30,7 @@ from tauberlab import (
     signs_alternate,
     tau_witnesses,
 )
+from tauberlab.smoothing import _PROXY_POINTS
 
 CFG8 = QuadratureConfig(abs_tol=1e-8)
 LOG_RATE = catalog("log")
@@ -412,6 +413,57 @@ class TestContinuationLimits:
                     continue
                 count += 1
         assert count == reached
+
+
+class TestExactWork:
+    """What a run on a fresh handle asks of the exact tier, and its ray builds.
+
+    Byte-identical artifacts rest on every proxy panel being filled by one
+    exact call of _PROXY_POINTS points; the counts pin the work so that a
+    regression (say, back to one ray build per angle) fails here.
+    """
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = {"real": [], "complex": [], "ray_builds": 0}
+        real, complex_, memo = (SmoothedGrowth.derivative_orders,
+                                SmoothedGrowth.kernel_complex, SmoothedGrowth.memo)
+
+        def derivative_orders(sg, y, orders):
+            calls["real"].append(np.size(y))
+            return real(sg, y, orders)
+
+        def kernel_complex(sg, z):
+            calls["complex"].append(np.size(z))
+            return complex_(sg, z)
+
+        def counted_memo(sg, key, build):
+            def counted_build():
+                calls["ray_builds"] += key[0] == "contour_ray"
+                return build()
+            return memo(sg, key, counted_build)
+
+        monkeypatch.setattr(SmoothedGrowth, "derivative_orders", derivative_orders)
+        monkeypatch.setattr(SmoothedGrowth, "kernel_complex", kernel_complex)
+        monkeypatch.setattr(SmoothedGrowth, "memo", counted_memo)
+        return calls
+
+    def test_continuation_work(self, counted):
+        rep = run_suite(SuiteConfig(checks=("continuation", "residue")))
+        assert all(r.status == "pass" for r in rep.records)
+        # two anchors, six angles built together; 16 ray panels per angle
+        # and 3 arc panels per anchor
+        assert counted["ray_builds"] == 2
+        assert counted["complex"] == [_PROXY_POINTS] * 102
+        assert counted["real"] and set(counted["real"]) == {_PROXY_POINTS}
+
+    def test_real_axis_fills_have_fixed_shape(self, counted):
+        # lemma21 reads the exact sums on its grid by design; the other
+        # real-axis checks reach them only through proxy panels
+        rep = run_suite(SuiteConfig(checks=("lemma22", "witness_s", "witness_tau")))
+        assert all(r.status == "pass" for r in rep.records)
+        assert counted["real"] and set(counted["real"]) == {_PROXY_POINTS}
+        assert counted["complex"] == [] and counted["ray_builds"] == 0
 
 
 def test_public_names_resolve():
