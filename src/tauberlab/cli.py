@@ -274,10 +274,6 @@ def _x_grid(cfg: RunConfig) -> np.ndarray:
     return np.linspace(cfg.x_min, cfg.x_max, cfg.points)
 
 
-def _make_sg(cfg: RunConfig) -> SmoothedGrowth:
-    return SmoothedGrowth(growth_target(cfg.rate), quad_config=cfg.quad)
-
-
 def _note(cfg: RunConfig, label: str, t0: float) -> None:
     if cfg.verbose:
         print(f"{label}: {time.perf_counter() - t0:.1f}s", file=sys.stderr)
@@ -288,7 +284,7 @@ def _note(cfg: RunConfig, label: str, t0: float) -> None:
 
 def cmd_construct(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
-    sg = _make_sg(cfg)
+    sg = SmoothedGrowth(growth_target(cfg.rate))
     xs = _x_grid(cfg)
     omega = [float(sg.target(x)) for x in xs]
     # every column from the proxy's y^n W^(n)(y), n = 0, 1, as W, V and phase are
@@ -311,7 +307,7 @@ def cmd_construct(cfg: RunConfig) -> int:
 
 def cmd_oscillate(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
-    sg = _make_sg(cfg)
+    sg = SmoothedGrowth(growth_target(cfg.rate))
     rho = cfg.rate
 
     def row(x: float):
@@ -350,7 +346,7 @@ def cmd_oscillate(cfg: RunConfig) -> int:
 
 def cmd_continue(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
-    sg = _make_sg(cfg)
+    sg = SmoothedGrowth(growth_target(cfg.rate))
     bent_path = ContourPath(quad_config=cfg.quad)
 
     def row(s: complex) -> Tuple[str, ...]:

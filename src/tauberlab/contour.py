@@ -3,20 +3,20 @@
 The integrand e^{izW(z)}e^{-sz} is analytic on the right half-plane (the
 kernel behind W has poles only on the imaginary axis), so the real-axis
 integral equals any bent path: a real stem [0, R0], a circular arc at R0,
-and a ray to R_max. Off the axis the phase factor decays like
+and a ray to _R_MAX = 2000. Off the axis the phase factor decays like
 e^{-Im(zW(z))}, which is what buys convergence for Re s <= 0.
 
 Bending into the region where the phase factor decays is the idea of
 numerical steepest descent (Huybrechs and Vandewalle, SIAM J. Numer.
 Anal. 44, 2006), cut down here to one shape: a ray at one of six fixed
 angles, the one with the lowest integrand hump for the given s. Node sets
-are cached on the evaluator, six rays per (R0, R_max) built together, so
+are cached on the evaluator, six rays per anchor R0 built together, so
 a sweep over many s values costs a few exps and dot products each.
 
 A ray fills i z W(z) at its ~65k nodes from the evaluator's Chebyshev
 proxy in log r (SmoothedGrowth.kernel_complex_ray), whose panels lie on a
 lattice in log r that every ray at that angle shares: 16 panels of 28
-exact kernel sums per angle out to R_max = 2000, for the anchors at 1 and
+exact kernel sums per angle out to _R_MAX, for the anchors at 1 and
 2 alike, instead of one sum per node. The six rays of an anchor share
 their radii, so one call interpolates all six on shared weights. The ray
 at angle theta keeps a strip of half-width pi/2 - theta in log r clear of
@@ -32,7 +32,7 @@ serves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -59,21 +59,20 @@ _BLOCK = 256
 # ray angles, shallow to steep: e^{-sz} decays along a shallow ray when Re s > 0;
 # a steep one buys the phase decay e^{-Im(zW(z))} that must beat it when Re s <= 0
 _RAY_ANGLES = (0.05, 0.3, 0.6, 0.9, 1.15, MAX_COMPLEX_ARG)
+# where every ray ends; it bounds ContourPath.R0
+_R_MAX = 2000.0
 
 
 @dataclass(frozen=True)
 class ContourPath:
-    """Bent integration path: stem [0, R0], arc at R0, ray out to R_max (angle per s)."""
+    """Bent integration path: stem [0, R0], arc at R0, ray out to _R_MAX (angle per s)."""
 
     R0: float = 1.0
-    R_max: float = 2000.0
-    quad_config: QuadratureConfig = field(default_factory=lambda: DEFAULT_CONFIG)
+    quad_config: QuadratureConfig = DEFAULT_CONFIG
 
     def __post_init__(self):
-        if not (self.R0 > 0):
-            raise ValueError("need R0 > 0")
-        if self.R_max < self.R0:
-            raise ValueError("need R_max >= R0")
+        if not (0 < self.R0 <= _R_MAX):
+            raise ValueError(f"need 0 < R0 <= {_R_MAX:g}")
 
 
 class _PieceCache:
@@ -194,7 +193,7 @@ def _rays(sg: SmoothedGrowth, path: ContourPath) -> dict:
     The six rays share their radii, so one proxy call serves them all.
     """
     def build():
-        edges, dense_top = _ray_edges(path.R0, path.R_max)
+        edges, dense_top = _ray_edges(path.R0, _R_MAX)
         r, w = panel_nodes(edges, 16)
         n_dense = int(np.searchsorted(r, dense_top, side="right"))
         rays = {}
@@ -205,7 +204,7 @@ def _rays(sg: SmoothedGrowth, path: ContourPath) -> dict:
             rays[angle] = _PieceCache(z, w * dz, g0, r, n_dense, _RayBlocks(g0.real, r, n_dense))
         return rays
 
-    return sg.memo(("contour_ray", path.R0, path.R_max), build)
+    return sg.memo(("contour_ray", path.R0), build)
 
 
 def _hump_limit(config: QuadratureConfig) -> float:
@@ -272,7 +271,7 @@ def _pick_angle(sg: SmoothedGrowth, path: ContourPath, s: complex) -> tuple:
     if best is None:
         raise QuadratureError(
             f"no ray decays below tolerance within the dense panels of "
-            f"R_max={path.R_max:g} for s={s}"
+            f"R_max={_R_MAX:g} for s={s}"
         )
     _, angle, blocks, c, ub = best
     for j in np.flatnonzero(ub >= _TRUNC_LOG)[::-1]:
@@ -287,7 +286,7 @@ def contour_F(sg: SmoothedGrowth, path: ContourPath, s: complex) -> complex:
 
     Sum of stem, arc, and ray integrals on the ray _pick_angle chooses.
     The ray is cut after the first node beyond which log|integrand| stays
-    below log(1e-19) out to R_max. Where no ray works, a QuadratureError
+    below log(1e-19) out to _R_MAX. Where no ray works, a QuadratureError
     names the unreachable s.
     """
     s = complex(s)

@@ -37,6 +37,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .quadrature import (
+    DEFAULT_CONFIG,
     QuadratureConfig,
     QuadratureError,
     gauss_legendre,
@@ -55,6 +56,12 @@ _LATTICE_MIN = -60
 # bisection alone shrinks any segment bracket that far in 64 steps
 _STEP_FLOOR = 2.0 ** -50
 _MAX_STEPS = 64
+# The tau table doubles Y from 2500 up to TAU_CAP and stops once a doubling
+# moves tau by at most half its budget. At budget 1e-10 the last move is
+# rounding noise (3.6e-11 to 5.0e-11 on the catalog rates), so stopping hangs
+# on the last bits of W; half the floor is over 7 times the largest last
+# move at budget 1e-9 (6.9e-11, pow 0.5).
+TAU_CAP, TAU_BUDGET_FLOOR = 1e5, 1e-9
 
 
 @dataclass(frozen=True)
@@ -234,7 +241,7 @@ def panel_contributions(sg: SmoothedGrowth, x: float,
     from that knot to x are laid out for x alone. Each panel's value has
     the bits a single layout of all of [0, x] would give it.
     """
-    cfg = config or sg.quad_config
+    cfg = config or DEFAULT_CONFIG
     if x < 0:
         raise ValueError("need x >= 0")
     if x == 0.0:
@@ -330,21 +337,15 @@ class _TauTable:
             return _tau_tail(self.sg, x)
         j = int(np.searchsorted(self.edges, x, side="right"))
         # partial panel [x, edges[j]] then the precomputed suffix
-        gx, gw = gauss_legendre(20)
-        a, b = x, float(self.edges[j])
-        sub = np.linspace(a, b, max(2, int(math.ceil((b - a) / 3.0)) + 1))
-        mid = 0.5 * (sub[:-1] + sub[1:])
-        half = 0.5 * np.diff(sub)
-        u = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
-        w = (half[:, None] * gw[None, :]).ravel()
-        part = float(np.dot(np.cos(u * self.sg.W(u)), w))
-        return part + float(self.suffix[j])
+        b = float(self.edges[j])
+        u, hw = _gauss_panels(np.linspace(x, b, max(2, int(math.ceil((b - x) / 3.0)) + 1)))
+        u, hw = u.ravel(), hw.ravel()
+        return float(np.dot(np.cos(u * self.sg.W(u)), hw)) + float(self.suffix[j])
 
 
 def _tau_table(sg: SmoothedGrowth, config: QuadratureConfig) -> _TauTable:
-    budget = max(config.abs_tol, 1e-10)
-    key = ("tau_table", budget, config.tail_cutoff)
-    return sg.memo(key, lambda: _TauTable(sg, budget, config.tail_cutoff))
+    budget = max(config.abs_tol, TAU_BUDGET_FLOOR)
+    return sg.memo(("tau_table", budget), lambda: _TauTable(sg, budget, TAU_CAP))
 
 
 def eval_tau(sg: SmoothedGrowth, x: float,
@@ -353,13 +354,13 @@ def eval_tau(sg: SmoothedGrowth, x: float,
 
     Finite phase-partitioned quadrature to a truncation point Y plus a
     twice-integrated-by-parts tail; Y doubles until the result is stable
-    to the configured budget (floored at 1e-10, about the tail scheme's
-    double-precision reach). Raises QuadratureError when the cap arrives
+    to the configured budget (floored at TAU_BUDGET_FLOOR, clear of the
+    tail's rounding noise). Raises QuadratureError when TAU_CAP arrives
     first, which happens when V grows too slowly for the budget.
     """
     if x < 0:
         raise ValueError("need x >= 0")
-    return _tau_table(sg, config or sg.quad_config).tau(x)
+    return _tau_table(sg, config or DEFAULT_CONFIG).tau(x)
 
 
 # -- direct Laplace integral -------------------------------------------------
@@ -372,7 +373,7 @@ def direct_F(sg: SmoothedGrowth, s: complex, R_trunc: float,
     Valid on Re s > 0 only (the tail bound is e^(-Re s * R) / Re s); left
     of the axis the bent-contour continuation is the right tool.
     """
-    cfg = config or sg.quad_config
+    cfg = config or DEFAULT_CONFIG
     s = complex(s)
     if s.real <= 0:
         raise ValueError("direct_F needs Re s > 0; use the contour continuation instead")

@@ -20,25 +20,20 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Error budget and limits for the panel quadratures.
+    """Error budget for the panel quadratures.
 
     Parameters
     ----------
     abs_tol, rel_tol : float
         Requested absolute / relative tolerances. Must be positive.
-    tail_cutoff : float
-        Hard cap on marched truncation radii (improper-integral tails).
     """
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
-    tail_cutoff: float = 1e5
 
     def __post_init__(self):
         if not (self.abs_tol > 0 and self.rel_tol > 0):
             raise ValueError("tolerances must be positive")
-        if not self.tail_cutoff > 0:
-            raise ValueError("tail_cutoff must be positive")
 
 
 DEFAULT_CONFIG = QuadratureConfig()

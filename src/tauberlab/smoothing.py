@@ -54,16 +54,22 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, geometric_edges, panel_nodes
+from .quadrature import geometric_edges, panel_nodes
 from .rates import GrowthTarget
 
 # Largest |arg z| the fixed grid resolves to ~1e-8 or better; beyond this the
 # node spacing stops resolving the kernel's complex ridge.
 MAX_COMPLEX_ARG = 1.29
+
+# The node grid: Gauss-Legendre order per panel, panels per octave. It resolves
+# real W to ~1e-14 and |arg z| <= 1.26 to 1e-10 (tested against adaptive quadrature).
+_GRID_ORDER, _PANELS_PER_OCTAVE = 16, 2
+# largest derivative order served: 170! is the largest factorial a double holds
+MAX_DERIVATIVE_ORDER = 170
 
 # Proxy panels: width in log y (log r on a ray) and Chebyshev points per
 # panel. At ray angle theta the kernel's poles sit at |Im log r| = pi/2 -
@@ -194,6 +200,11 @@ def _kernel_orders(orders, x, y):
             yield n, (-math.factorial(n) if n % 4 in (0, 3) else math.factorial(n)) * part
 
 
+def _check_order(n: int) -> None:
+    if not 0 <= n <= MAX_DERIVATIVE_ORDER:
+        raise ValueError(f"derivative order {n} outside [0, {MAX_DERIVATIVE_ORDER}]")
+
+
 def kernel_derivative(n: int, x, y):
     """n-th y-derivative of the Poisson kernel, in closed complex form.
 
@@ -204,8 +215,7 @@ def kernel_derivative(n: int, x, y):
     which is exact for every n and avoids differencing. Satisfies
     |result| <= 2^(n+1) n! / (y^2 + x^2)^((n+1)/2).
     """
-    if n < 0:
-        raise ValueError("derivative order must be >= 0")
+    _check_order(n)
     if np.any(np.asarray(y) <= 0):
         raise ValueError("the Poisson kernel needs y > 0")
     ((_, out),) = _kernel_orders((n,), np.asarray(x, dtype=float), y)
@@ -215,39 +225,17 @@ def kernel_derivative(n: int, x, y):
 class SmoothedGrowth:
     """Evaluator handle for W, its derivatives, V, the phase, and W(z).
 
-    Parameters
-    ----------
-    target : GrowthTarget
-        omega with its envelope and min-branch crossover.
-    quad_config : QuadratureConfig, optional
-        Budget that downstream consumers (phase quadrature, tau table,
-        contour paths) read off the handle; W itself runs on the grid.
-    n_max : int
-        Largest derivative order served (default 6).
-    grid_order, panels_per_octave : int
-        Resolution of the fixed composite grid: Gauss-Legendre order per
-        panel and panels per octave. The defaults resolve real arguments
-        to ~1e-14 relative and complex arguments within |arg z| <= 1.26
-        to better than 1e-10 (checked against adaptive quadrature in tests).
+    The target (omega with its envelope and min-branch crossover) is the
+    only input: the node grid and the proxy lattices are module constants,
+    and error budgets travel with the calls that integrate.
 
     All evaluators are pure; caches hold only data derived deterministically
     from the target (proxy panels, tables) and are lock-protected, so
     handles may be shared across worker threads.
     """
 
-    def __init__(
-        self,
-        target: GrowthTarget,
-        quad_config: Optional[QuadratureConfig] = None,
-        n_max: int = 6,
-        grid_order: int = 16,
-        panels_per_octave: int = 2,
-    ):
+    def __init__(self, target: GrowthTarget):
         self.target = target
-        self.quad_config = quad_config or DEFAULT_CONFIG
-        self.n_max = int(n_max)
-        self._grid_order = int(grid_order)
-        self._per_octave = int(panels_per_octave)
         self._lock = threading.Lock()
         self._nodes = None
         self._omega_weights = None
@@ -260,8 +248,8 @@ class SmoothedGrowth:
         with self._lock:
             if self._nodes is None:
                 anchor = self.target.branch_point or 1.0
-                edges = geometric_edges(anchor, -40, 122, self._per_octave)
-                nodes, weights = panel_nodes(edges, self._grid_order)
+                edges = geometric_edges(anchor, -40, 122, _PANELS_PER_OCTAVE)
+                nodes, weights = panel_nodes(edges, _GRID_ORDER)
                 om = np.asarray(self.target.omega(nodes), dtype=float)
                 self._nodes = nodes
                 self._omega_weights = om * weights
@@ -281,7 +269,7 @@ class SmoothedGrowth:
     # -- exact real evaluator --------------------------------------------
 
     def derivative(self, y, n: int) -> Union[float, np.ndarray]:
-        """W^(n)(y) by the exact node sum; n = 0 gives W itself.
+        """W^(n)(y) by the exact node sum, 0 <= n <= 170; n = 0 gives W itself.
 
         The real twin of kernel_complex: it feeds the proxy panels behind
         W, V, V_prime and phase, and the grid checks of Lemma 2.1. A
@@ -301,8 +289,7 @@ class SmoothedGrowth:
         """
         orders = tuple(orders)
         for n in orders:
-            if not (0 <= n <= max(self.n_max, 0)):
-                raise ValueError(f"derivative order {n} outside [0, {self.n_max}]")
+            _check_order(n)
         arr = np.atleast_1d(np.asarray(y, dtype=float))
         if np.any(arr <= 0):
             raise ValueError("W derivatives need y > 0")

@@ -23,6 +23,7 @@ import numpy as np
 
 from .contour import ContourPath, cauchy_circle, contour_F, laplace_cos, laplace_dS
 from .oscillatory import (
+    TAU_CAP,
     direct_F,
     eval_T_main,
     eval_T_scaled,
@@ -277,6 +278,14 @@ DEFAULT_CHECKS = ("lemma21", "lemma22", "continuation", "residue",
 _REMAINDER_XS = (5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0)
 _ORACLE_XS = (10.0, 20.0, 30.0)
 _SCALE_FACTORS = (0.1, 0.25, 0.5, 0.75, 1.0)
+# the Lemma 2.1 grid: _GRID_POINTS log-spaced y in [_GRID_LO, _GRID_HI]
+_GRID_LO, _GRID_HI, _GRID_POINTS = 1.0, 1e6, 60
+# a witness record with fewer than 2 * _N_WITNESSES witnesses is a warn
+_N_WITNESSES = 10
+
+
+def _grid_echo() -> Dict[str, object]:
+    return {"lo": _GRID_LO, "hi": _GRID_HI, "points": _GRID_POINTS, "scale": "log"}
 
 
 def validate_range(lo: float, hi: float, name: str) -> None:
@@ -300,31 +309,21 @@ def validate_checks(checks: Sequence[str]) -> None:
 class SuiteConfig:
     """What to build and which checks to run.
 
-    `rate` picks the decay rate the construction targets. `x_range` and
-    `n_witnesses` shape the oscillation extraction (the range must hold
-    at least 2 * n_witnesses half-knots for a clean pass; thinner data
-    demotes the record to warn). `checks` selects battery groups by id,
-    keeping registry order regardless of the order given here.
+    `rate` picks the decay rate the construction targets. `x_range` is
+    the oscillation window (it must hold 2 * _N_WITNESSES half-knots for
+    a clean pass; thinner data demotes the record to warn). `checks`
+    selects battery groups by id, keeping registry order regardless of
+    the order given here. `quad_config` is every integral's budget.
     """
 
     rate: RateFunction = field(default_factory=lambda: catalog("log"))
     x_range: Tuple[float, float] = (10.0, 60.0)
-    n_witnesses: int = 10
     checks: Tuple[str, ...] = DEFAULT_CHECKS
-    quad_config: QuadratureConfig = field(
-        default_factory=lambda: QuadratureConfig(abs_tol=1e-8))
-    grid_lo: float = 1.0
-    grid_hi: float = 1e6
-    grid_points: int = 60
+    quad_config: QuadratureConfig = QuadratureConfig(abs_tol=1e-8)
 
     def __post_init__(self):
         validate_range(*self.x_range, "x_range")
-        if self.n_witnesses < 5:
-            raise ValueError("n_witnesses must be at least 5")
         validate_checks(self.checks)
-        validate_range(self.grid_lo, self.grid_hi, "grid bounds")
-        if self.grid_points < 2:
-            raise ValueError("grid needs at least 2 points")
 
     def echo(self) -> Dict[str, object]:
         rate: Dict[str, object] = {"kind": self.rate.kind}
@@ -335,19 +334,14 @@ class SuiteConfig:
         return {
             "rate": rate,
             "x_range": [self.x_range[0], self.x_range[1]],
-            "n_witnesses": self.n_witnesses,
+            "n_witnesses": _N_WITNESSES,
             "checks": list(self.checks),
             "quadrature": {
                 "abs_tol": self.quad_config.abs_tol,
                 "rel_tol": self.quad_config.rel_tol,
-                "tail_cutoff": self.quad_config.tail_cutoff,
+                "tail_cutoff": TAU_CAP,
             },
-            "grid": {
-                "lo": self.grid_lo,
-                "hi": self.grid_hi,
-                "points": self.grid_points,
-                "scale": "log",
-            },
+            "grid": _grid_echo(),
         }
 
 
@@ -355,12 +349,9 @@ class _SuiteContext:
     def __init__(self, config: SuiteConfig):
         self.config = config
         self.rho = config.rate
-        self.sg = SmoothedGrowth(growth_target(config.rate),
-                                 quad_config=config.quad_config)
+        self.sg = SmoothedGrowth(growth_target(config.rate))
         self.path = ContourPath(quad_config=config.quad_config)
-        self.grid = np.logspace(math.log10(config.grid_lo),
-                                math.log10(config.grid_hi),
-                                config.grid_points)
+        self.grid = np.logspace(math.log10(_GRID_LO), math.log10(_GRID_HI), _GRID_POINTS)
         self._grid_derivatives = None
 
     def grid_derivatives(self) -> Tuple[np.ndarray, ...]:
@@ -370,9 +361,7 @@ class _SuiteContext:
         return self._grid_derivatives
 
     def grid_echo(self) -> Dict[str, object]:
-        c = self.config
-        return {"y": {"lo": c.grid_lo, "hi": c.grid_hi,
-                      "points": c.grid_points, "scale": "log"}}
+        return {"y": _grid_echo()}
 
 
 # -- kernel growth property battery -------------------------------------------
@@ -567,7 +556,7 @@ def _witness_record(ctx: _SuiteContext, witnesses, c: float,
     healthy = alternating and parity_ok and c > 0.0 and window_ok
     if not healthy:
         status = "fail"
-    elif n < 2 * ctx.config.n_witnesses:
+    elif n < 2 * _N_WITNESSES:
         status = "warn"  # verified, but on thinner data than requested
     else:
         status = "pass"
@@ -585,7 +574,7 @@ def _witness_record(ctx: _SuiteContext, witnesses, c: float,
         "window": [window_lo, window_hi],
     }
     grids = {"x_range": [ctx.config.x_range[0], ctx.config.x_range[1]],
-             "witnesses_requested": 2 * ctx.config.n_witnesses,
+             "witnesses_requested": 2 * _N_WITNESSES,
              "remainder_probes": probes}
     return status, measured, grids, list(witnesses)
 

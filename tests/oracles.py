@@ -170,7 +170,7 @@ def per_x_T_scaled(sg, x: float, config: Optional[QuadratureConfig] = None) -> f
     """eval_T_scaled's panel quadrature on the pi-knots of [0, x] solved for this x alone."""
     knots = per_x_knots(sg, 0.0, x)
     edges = grade_origin(refine_edges(np.concatenate([[0.0], knots, [x]]),
-                                      _width_cap(config or sg.quad_config)))
+                                      _width_cap(config or DEFAULT_CONFIG)))
     return math.fsum(_panel_quad(edges, lambda u: np.exp(u - x) * np.cos(u * sg.W(u))))
 
 
@@ -179,7 +179,7 @@ def per_x_direct_F(sg, s: complex, R: float,
     """direct_F's panel quadrature on the pi-knots of [0, R] solved for this R alone."""
     knots = per_x_knots(sg, 0.0, R)
     edges = grade_origin(refine_edges(np.concatenate([[0.0], knots, [R]]),
-                                      _width_cap(config or sg.quad_config)))
+                                      _width_cap(config or DEFAULT_CONFIG)))
     vals = _panel_quad(edges, lambda u: np.exp((1j * sg.W(u) - s) * u))
     return complex(math.fsum(vals.real), math.fsum(vals.imag))
 
@@ -205,7 +205,7 @@ def full_scan_pick(sg, path, s: complex) -> tuple:
     The skip, peak and stop rules of `tauberlab.contour._pick_angle`,
     without its block bounds.
     """
-    from tauberlab.contour import _RAY_ANGLES, _TRUNC_LOG, _rays
+    from tauberlab.contour import _R_MAX, _RAY_ANGLES, _TRUNC_LOG, _rays
 
     best = None
     rays = _rays(sg, path)
@@ -218,7 +218,7 @@ def full_scan_pick(sg, path, s: complex) -> tuple:
     if best is None:
         raise QuadratureError(
             f"no ray decays below tolerance within the dense panels of "
-            f"R_max={path.R_max:g} for s={s}"
+            f"R_max={_R_MAX:g} for s={s}"
         )
     _, angle, g = best
     alive = np.flatnonzero(g >= _TRUNC_LOG)

@@ -165,7 +165,7 @@ def test_tail_integral_oscillates(default_suite_report):
 
 def test_tail_transform_removable_point():
     cfg = QuadratureConfig(abs_tol=1e-8)
-    sg = SmoothedGrowth(growth_target(catalog("log")), quad_config=cfg)
+    sg = SmoothedGrowth(growth_target(catalog("log")))
     path = ContourPath(quad_config=cfg)
     doubled = ContourPath(R0=2.0 * path.R0, quad_config=cfg)
 

@@ -140,7 +140,7 @@ def test_ray_build_race_builds_once(log_target):
     # two threads ask for one anchor's rays nobody has built: one build
     # fills all six angles, and both threads get its rays
     sg = _CountingRays(log_target)
-    path = ContourPath(R_max=50.0)
+    path = ContourPath()
     start = threading.Barrier(2)
     out = [None, None]
 
@@ -167,10 +167,12 @@ def test_ray_build_race_builds_once(log_target):
 class TestDecayBound:
     """The ray is cut where its measured decay envelope drops below the floor."""
 
-    def test_truncation_radius_stability(self, pow_sg):
-        # enlarging R_max by 20% must not move a converged value
-        a = contour_F(pow_sg, ContourPath(R_max=2000.0), 2.0)
-        b = contour_F(pow_sg, ContourPath(R_max=2400.0), 2.0)
+    def test_truncation_radius_stability(self, pow_sg, pow_target, monkeypatch):
+        # enlarging the ray end by 20% must not move a converged value; the
+        # rays are memoized per anchor, so the longer ones need a fresh handle
+        a = contour_F(pow_sg, ContourPath(), 2.0)
+        monkeypatch.setattr(contour_mod, "_R_MAX", 2400.0)
+        b = contour_F(SmoothedGrowth(pow_target), ContourPath(), 2.0)
         assert abs(a - b) <= 1e-9
 
 
@@ -234,8 +236,8 @@ class TestContourF:
     def test_path_field_validation(self):
         with pytest.raises(ValueError):
             ContourPath(R0=-1.0)
-        with pytest.raises(ValueError):
-            ContourPath(R0=4.0, R_max=2.0)
+        with pytest.raises(ValueError, match="R0 <= 2000"):
+            ContourPath(R0=2000.5)
 
 
 class TestGrowthProfile:

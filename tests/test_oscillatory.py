@@ -24,7 +24,8 @@ from tauberlab import (
     panel_contributions,
     phase_panels,
 )
-from tauberlab.oscillatory import KNOT_RESIDUAL, _TauTable, _panel_quad, phase_knots
+from tauberlab.oscillatory import (KNOT_RESIDUAL, TAU_BUDGET_FLOOR, _panel_quad, _tau_table,
+                                   _TauTable, phase_knots)
 from tauberlab.quadrature import grade_origin, refine_edges
 from tauberlab.suite import _ORACLE_XS, _REMAINDER_XS
 
@@ -313,9 +314,19 @@ def test_tau_additivity(log_sg):
 def test_tau_cap_error_names_slow_growth():
     # a cap below the first possible refinement forces the failure path
     sg = SmoothedGrowth(growth_target(catalog("loglog")))
-    cfg = QuadratureConfig(abs_tol=1e-12, tail_cutoff=4000.0)
     with pytest.raises(QuadratureError, match="grows too slowly"):
-        eval_tau(sg, 1.0, cfg)
+        _TauTable(sg, 1e-9, 4000.0)
+
+
+@pytest.mark.parametrize("name, alpha", [("log", None), ("pow", 0.5), ("pow", 0.25),
+                                         ("loglog", None)])
+def test_tau_default_config_returns(name, alpha):
+    # the default abs_tol (1e-12) is floored at TAU_BUDGET_FLOOR, clear of
+    # the ~5e-11 rounding noise of the last doubling, so the table stops
+    sg = SmoothedGrowth(growth_target(catalog(name, alpha=alpha)))
+    assert math.isfinite(eval_tau(sg, 0.0))
+    table = _tau_table(sg, QuadratureConfig())
+    assert table.budget == TAU_BUDGET_FLOOR and table.stability <= 0.5 * TAU_BUDGET_FLOOR
 
 
 class TestTauRangeLimits:
@@ -324,8 +335,8 @@ class TestTauRangeLimits:
     The tail estimate carries ~5e-11 of rounding noise, so a budget below
     it never stabilizes within the default cap; a larger cap carries the
     knot table past u ~ 1e5, where KNOT_RESIDUAL (1e-9 absolute) is below
-    what the phase's rounding allows. eval_tau floors its budget at 1e-10,
-    right at that noise, and the suite certifies tau at abs_tol 1e-8.
+    what the phase's rounding allows. eval_tau floors its budget at 1e-9,
+    clear of that noise, and the suite certifies tau at abs_tol 1e-8.
     """
 
     def test_budget_below_the_noise_misses_the_cap(self, log_target):

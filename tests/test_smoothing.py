@@ -70,6 +70,20 @@ def test_kernel_derivative_matches_complex_pair_form(n):
             assert kernel_derivative(n, x, y) == pytest.approx(pair, rel=1e-13, abs=1e-14 * scale)
 
 
+@pytest.mark.parametrize("n", [-1, 171])
+def test_derivative_order_outside_factorial_range_rejected(n, log_sg):
+    # 170! is the largest factorial that is a finite double
+    with pytest.raises(ValueError, match=rf"derivative order {n} outside \[0, 170\]"):
+        kernel_derivative(n, np.array([1.0]), 1.0)
+    with pytest.raises(ValueError, match=rf"derivative order {n} outside \[0, 170\]"):
+        log_sg.derivative(1.0, n)
+
+
+def test_derivative_order_170_is_served(log_sg):
+    assert math.isfinite(kernel_derivative(170, 1.0, 1.0))
+    assert math.isfinite(log_sg.derivative(1.0, 170))
+
+
 @pytest.mark.parametrize("n", range(7))
 def test_kernel_derivative_bound(n):
     bound = lambda x, y: 2.0 ** (n + 1) * math.factorial(n) / (y * y + x * x) ** ((n + 1) / 2)
@@ -178,7 +192,7 @@ def test_smooth_complex_conjugate_symmetry(log_sg):
 
 
 def test_smooth_complex_matches_taylor_series(log_target):
-    sg = SmoothedGrowth(log_target, n_max=8)
+    sg = SmoothedGrowth(log_target)
     x0, z = 10.0, 10.0 * cmath.exp(0.05j)
     series = sum(sg.derivative(x0, n) / math.factorial(n) * (z - x0) ** n for n in range(9))
     assert sg.kernel_complex(z) == pytest.approx(series, rel=1e-6)

@@ -254,8 +254,6 @@ class TestSuiteConfig:
     @pytest.mark.parametrize("kwargs, field", [
         ({"x_range": (10.0, math.inf)}, "x_range"),
         ({"x_range": (math.nan, 60.0)}, "x_range"),
-        ({"grid_hi": math.inf}, "grid bounds"),
-        ({"grid_lo": math.nan}, "grid bounds"),
     ])
     def test_non_finite_range_rejected(self, kwargs, field):
         # an infinite bound would reach run_suite as a NaN grid: a crash in one
@@ -266,10 +264,6 @@ class TestSuiteConfig:
     def test_empty_checks_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             SuiteConfig(checks=())
-
-    def test_small_witness_count_rejected(self):
-        with pytest.raises(ValueError):
-            SuiteConfig(n_witnesses=4)
 
     def test_zero_tolerance_rejected(self):
         with pytest.raises(ValueError):
